@@ -239,7 +239,7 @@ fn main() {
         }
         let current = make_batch(&mut rng, 8);
         let pool: Vec<usize> = (0..48).collect();
-        let mut rmir_plans = RmirPlans::default();
+        let rmir_plans = RmirPlans::default();
         results.push(bench("rmir_sample_pool48_b8", min_secs, || {
             black_box(rmir_sample(
                 &buffer,
@@ -250,7 +250,7 @@ fn main() {
                 3e-3,
                 24,
                 8,
-                &mut rmir_plans,
+                &rmir_plans,
             ));
         }));
     }

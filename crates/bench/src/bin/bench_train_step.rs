@@ -36,16 +36,15 @@
 //! breakdown for profiling.
 
 use std::time::Instant;
-use urcl_core::{Augmentation, AugmentedView, StSimSiam};
-use urcl_graph::{random_geometric, SupportSet};
+use urcl_core::{Augmentation, AugmentedView, SslTerm, StSimSiam, StepGraph};
+use urcl_graph::random_geometric;
 use urcl_json::Value;
-use urcl_models::{Backbone, GraphWaveNet, GwnConfig};
+use urcl_models::{record_mae, Backbone, GraphWaveNet, GwnConfig};
 use urcl_stdata::{stack_samples, Batch, Sample};
 use urcl_tensor::autodiff::{Session, Tape};
 use urcl_tensor::{
     buffer_pool_stats, op_profile, plan_stats, reset_buffer_pool_stats, reset_op_profile,
-    set_pooling, set_simd, set_threads, Adam, ExecPlan, Optimizer, ParamStore, PlanSpec,
-    PolySpec, Rng, Tensor,
+    set_pooling, set_simd, set_threads, Adam, ExecPlan, Optimizer, ParamStore, Rng, Tensor,
 };
 
 const NODES: usize = 24;
@@ -100,47 +99,13 @@ fn train_step(model: &GraphWaveNet, store: &mut ParamStore, opt: &mut Adam, batc
     loss_val
 }
 
-/// Records one training tape for the model and compiles it into a
-/// reusable batch-polymorphic plan: the step is recorded a second time
-/// over zero proxies one batch larger, and the compiler abstracts the
-/// batch dim from the pair. Parameter values are read from the store at
+/// Compiles the task-only training step into a reusable
+/// batch-polymorphic plan. Parameter values are read from the store at
 /// replay time, so compiling before training is fine.
 fn compile_plan(model: &GraphWaveNet, store: &ParamStore, batch: &Batch) -> ExecPlan {
-    let record = |x: &Tensor, y: &Tensor| {
-        let tape = Tape::new();
-        let (root, inputs, binds);
-        {
-            let mut sess = Session::new(&tape, store);
-            let xv = sess.input(x.clone());
-            let yv = sess.input(y.clone());
-            let loss = model.forward(&mut sess, xv).sub(yv).abs().mean_all();
-            root = loss.index();
-            inputs = vec![xv.index(), yv.index()];
-            binds = sess.into_bindings();
-        }
-        (tape, root, inputs, binds)
-    };
-    let (tape0, root, inputs, binds) = record(&batch.x, &batch.y);
-    let b0 = batch.x.shape()[0];
-    let mut xs = batch.x.shape().to_vec();
-    let mut ys = batch.y.shape().to_vec();
-    xs[0] = b0 + 1;
-    ys[0] = b0 + 1;
-    let (tape1, _, _, _) = record(&Tensor::zeros(&xs), &Tensor::zeros(&ys));
-    ExecPlan::compile(
-        &tape0,
-        &PlanSpec {
-            root: Some(root),
-            inputs: &inputs,
-            outputs: &[],
-            bindings: &binds,
-            poly: Some(PolySpec {
-                tape: &tape1,
-                batch0: b0,
-                batch1: b0 + 1,
-            }),
-        },
-    )
+    ExecPlan::compile_poly(batch.len(), |b| {
+        record_mae(model, store, batch.x.at_batch(b), batch.y.at_batch(b))
+    })
 }
 
 /// One full optimisation step replaying a compiled plan instead of
@@ -311,64 +276,23 @@ fn plan_duel(threads: usize, warmup: usize, timed: usize) -> (f64, f64) {
     (timed as f64 / best_interp, timed as f64 / best_plan)
 }
 
-/// One recorded paper-default step graph (task MAE + weighted GraphCL
-/// term over two augmented views) plus the plan-compile ingredients:
-/// replayable inputs `[x, y, x1, x2]` followed by every promoted SSL
-/// slot (contrastive masks, per-view per-layer graph supports).
-struct RecordedSsl {
-    tape: Tape,
-    root: usize,
-    inputs: Vec<usize>,
-    binds: Vec<(urcl_tensor::ParamId, usize)>,
-    view_slots: usize,
-}
-
-fn record_ssl_step(
-    model: &GraphWaveNet,
-    simsiam: &StSimSiam,
-    store: &ParamStore,
-    x: &Tensor,
-    y: &Tensor,
-    v1: &AugmentedView,
-    v2: &AugmentedView,
-) -> RecordedSsl {
-    let tape = Tape::new();
-    let (root, inputs, binds, view_slots);
-    {
-        let mut sess = Session::new(&tape, store);
-        let xv = sess.input(x.clone());
-        let yv = sess.input(y.clone());
-        let x1 = sess.input(v1.x.clone());
-        let x2 = sess.input(v2.x.clone());
-        let mut ins = vec![xv.index(), yv.index(), x1.index(), x2.index()];
-        let task = model.forward(&mut sess, xv).sub(yv).abs().mean_all();
-        let ssl = simsiam.loss_from_vars(
-            &mut sess,
-            model,
-            x1,
-            v1.supports.as_ref(),
-            x2,
-            v2.supports.as_ref(),
-        );
-        let total = task.add(ssl.scale(SSL_WEIGHT));
-        ins.extend(sess.slot_nodes("ssl.eye"));
-        ins.extend(sess.slot_nodes("ssl.off_mask"));
-        let s1 = sess.slot_nodes_prefix("ssl.v1.");
-        let s2 = sess.slot_nodes_prefix("ssl.v2.");
-        assert_eq!(s1.len(), s2.len(), "view support slot counts differ");
-        view_slots = s1.len();
-        ins.extend(s1);
-        ins.extend(s2);
-        root = total.index();
-        inputs = ins;
-        binds = sess.into_bindings();
-    }
-    RecordedSsl {
-        tape,
-        root,
-        inputs,
-        binds,
-        view_slots,
+/// The paper-default step graph (task MAE + weighted GraphCL term over
+/// two augmented views), exactly as the URCL trainer records it.
+fn ssl_graph<'a>(
+    model: &'a GraphWaveNet,
+    simsiam: &'a StSimSiam,
+    views: &'a (AugmentedView, AugmentedView),
+    masks: &'a (Tensor, Tensor),
+) -> StepGraph<'a> {
+    StepGraph {
+        backbone: model,
+        ssl: Some(SslTerm {
+            head: simsiam,
+            weight: SSL_WEIGHT,
+            views,
+            masks,
+        }),
+        ewc: None,
     }
 }
 
@@ -376,35 +300,12 @@ fn record_ssl_step(
 /// iteration, evaluates the loss and backpropagates. No optimizer update,
 /// so parameters stay fixed and per-iteration losses are bitwise
 /// comparable across arms.
-fn interp_ssl_step(
-    model: &GraphWaveNet,
-    simsiam: &StSimSiam,
-    store: &mut ParamStore,
-    batch: &Batch,
-    v1: &AugmentedView,
-    v2: &AugmentedView,
-) -> f32 {
+fn interp_ssl_step(graph: &StepGraph<'_>, store: &mut ParamStore, batch: &Batch) -> f32 {
     store.zero_grads();
-    let tape = Tape::new();
-    let mut sess = Session::new(&tape, store);
-    let x = sess.input(batch.x.clone());
-    let y = sess.input(batch.y.clone());
-    let x1 = sess.input(v1.x.clone());
-    let x2 = sess.input(v2.x.clone());
-    let task = model.forward(&mut sess, x).sub(y).abs().mean_all();
-    let ssl = simsiam.loss_from_vars(
-        &mut sess,
-        model,
-        x1,
-        v1.supports.as_ref(),
-        x2,
-        v2.supports.as_ref(),
-    );
-    let total = task.add(ssl.scale(SSL_WEIGHT));
-    let loss_val = tape.value(total).item();
-    let grads = tape.backward(total);
-    let binds = sess.into_bindings();
-    store.accumulate_grads(&binds, &grads);
+    let rec = graph.record(store, batch, batch.len());
+    let loss_val = rec.tape.value_at(rec.root.expect("training graph")).item();
+    let grads = rec.backward();
+    store.accumulate_grads(&rec.bindings, &grads);
     loss_val
 }
 
@@ -415,34 +316,6 @@ fn plan_ssl_step(plan: &ExecPlan, store: &mut ParamStore, refs: &[&Tensor]) -> f
     let (loss, grads) = plan.run_training(store, refs);
     store.accumulate_grads(plan.bindings(), &grads);
     loss.item()
-}
-
-/// Replay bindings for the compiled SSL plan, mirroring the trainer's
-/// promotion order: `[x, y, x1, x2, eye, off_mask, view-1 supports…,
-/// view-2 supports…]`. Views without their own supports (feature-only
-/// augmentations) bind the backbone's live support set.
-fn ssl_refs<'a>(
-    batch: &'a Batch,
-    v1: &'a AugmentedView,
-    v2: &'a AugmentedView,
-    eye: &'a Tensor,
-    off: &'a Tensor,
-    view_slots: usize,
-    template: Option<&'a SupportSet>,
-) -> Vec<&'a Tensor> {
-    let mut refs = vec![&batch.x, &batch.y, &v1.x, &v2.x, eye, off];
-    for v in [v1, v2] {
-        let set = v
-            .supports
-            .as_ref()
-            .or(template)
-            .expect("backbone exposes no support template");
-        let sup = set.all();
-        for j in 0..view_slots {
-            refs.push(sup[j % sup.len()]);
-        }
-    }
-    refs
 }
 
 /// Paper-default duel: the full augmented-SSL training step (SSL + STA
@@ -488,43 +361,16 @@ fn ssl_duel(threads: usize, timed: usize) -> (f64, f64) {
 
     // Compile once, batch-polymorphically, from the first draw; every
     // later draw replays through the same plan via slot rebinding.
-    let rec0 = record_ssl_step(&m1, &sim1, &s1, &b1[0].x, &b1[0].y, &draws[0].0, &draws[0].1);
-    let mut xs = b1[0].x.shape().to_vec();
-    let mut ys = b1[0].y.shape().to_vec();
-    xs[0] = BATCH + 1;
-    ys[0] = BATCH + 1;
-    let rec1 = record_ssl_step(
-        &m1,
-        &sim1,
-        &s1,
-        &Tensor::zeros(&xs),
-        &Tensor::zeros(&ys),
-        &draws[0].0.shape_proxy(BATCH + 1),
-        &draws[0].1.shape_proxy(BATCH + 1),
-    );
-    let plan = ExecPlan::compile(
-        &rec0.tape,
-        &PlanSpec {
-            root: Some(rec0.root),
-            inputs: &rec0.inputs,
-            outputs: &[],
-            bindings: &rec0.binds,
-            poly: Some(PolySpec {
-                tape: &rec1.tape,
-                batch0: BATCH,
-                batch1: BATCH + 1,
-            }),
-        },
-    );
-    let view_slots = rec0.view_slots;
-    let (eye, off) = StSimSiam::contrastive_masks(BATCH);
-    let template = m1.support_template();
+    let masks = StSimSiam::contrastive_masks(BATCH);
+    let plan = ExecPlan::compile_poly(BATCH, |b| {
+        ssl_graph(&m1, &sim1, &draws[0], &masks).record(&s1, &b1[0], b)
+    });
 
     // Bitwise parity across every draw position (doubles as warmup).
-    for (i, (v1, v2)) in draws.iter().enumerate() {
+    for (i, views) in draws.iter().enumerate() {
         let bi = i % b0.len();
-        let li = interp_ssl_step(&m0, &sim0, &mut s0, &b0[bi], v1, v2);
-        let refs = ssl_refs(&b1[bi], v1, v2, &eye, &off, view_slots, template);
+        let li = interp_ssl_step(&ssl_graph(&m0, &sim0, views, &masks), &mut s0, &b0[bi]);
+        let refs = ssl_graph(&m1, &sim1, views, &masks).inputs(&b1[bi], plan.num_inputs());
         let lp = plan_ssl_step(&plan, &mut s1, &refs);
         assert_eq!(
             li.to_bits(),
@@ -539,15 +385,15 @@ fn ssl_duel(threads: usize, timed: usize) -> (f64, f64) {
         let t0 = Instant::now();
         for i in 0..timed {
             let it = round * timed + i;
-            let (v1, v2) = &draws[it % draws.len()];
-            interp_ssl_step(&m0, &sim0, &mut s0, &b0[it % b0.len()], v1, v2);
+            let graph = ssl_graph(&m0, &sim0, &draws[it % draws.len()], &masks);
+            interp_ssl_step(&graph, &mut s0, &b0[it % b0.len()]);
         }
         best_interp = best_interp.min(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         for i in 0..timed {
             let it = round * timed + i;
-            let (v1, v2) = &draws[it % draws.len()];
-            let refs = ssl_refs(&b1[it % b1.len()], v1, v2, &eye, &off, view_slots, template);
+            let graph = ssl_graph(&m1, &sim1, &draws[it % draws.len()], &masks);
+            let refs = graph.inputs(&b1[it % b1.len()], plan.num_inputs());
             plan_ssl_step(&plan, &mut s1, &refs);
         }
         best_plan = best_plan.min(t0.elapsed().as_secs_f64());
@@ -584,14 +430,13 @@ fn poly_batch_check() -> u64 {
         );
         store.zero_grads();
         let (loss, _) = plan.run_training(&store, &[&batch.x, &batch.y]);
-        let tape = Tape::new();
-        let mut sess = Session::new(&tape, &store);
-        let x = sess.input(batch.x.clone());
-        let y = sess.input(batch.y.clone());
-        let l = model.forward(&mut sess, x).sub(y).abs().mean_all();
+        let rec = record_mae(&model, &store, batch.x.clone(), batch.y.clone());
         assert_eq!(
             loss.item().to_bits(),
-            tape.value(l).item().to_bits(),
+            rec.tape
+                .value_at(rec.root.expect("training graph"))
+                .item()
+                .to_bits(),
             "poly replay diverged from interpreter at batch {b}"
         );
     }

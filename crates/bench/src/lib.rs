@@ -12,7 +12,7 @@ pub mod experiments;
 
 use std::path::Path;
 use urcl_json::ToJson;
-use urcl_core::{ContinualTrainer, Metrics, RunReport, SetReport, Stopwatch, StSimSiam, TrainerConfig};
+use urcl_core::{ContinualTrainer, Metrics, RunReport, SetReport, StSimSiam, TrainerConfig};
 use urcl_graph::SensorNetwork;
 use urcl_models::{
     Agcrn, Arima, Backbone, BackboneConfig, Dcrnn, GeoMan, GraphWaveNet, GwnConfig, Mtgnn,
@@ -20,6 +20,7 @@ use urcl_models::{
 };
 use urcl_stdata::{ContinualSplit, DatasetConfig, Normalizer, SyntheticDataset};
 use urcl_tensor::{ParamStore, Rng, Tensor};
+use urcl_trace::Stopwatch;
 
 /// The deep backbones the experiments instantiate by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -64,21 +64,6 @@ pub struct AugmentedView {
     pub supports: Option<SupportSet>,
 }
 
-impl AugmentedView {
-    /// A same-structure stand-in at a different batch size: zero signal,
-    /// identical supports. The trainer's batch-polymorphic plan compile
-    /// records the step graph a second time at `batch0 + 1` over these —
-    /// only the shapes matter there; the compiler discards the values.
-    pub fn shape_proxy(&self, batch: usize) -> AugmentedView {
-        let mut shape = self.x.shape().to_vec();
-        shape[0] = batch;
-        AugmentedView {
-            x: Tensor::zeros(&shape),
-            supports: self.supports.clone(),
-        }
-    }
-}
-
 impl Augmentation {
     /// The paper's default augmentation pool with its example strengths
     /// (10% node drops, 3-hop distance for AE).

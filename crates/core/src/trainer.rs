@@ -18,16 +18,16 @@ use crate::mixup::{concat_replay, st_mixup};
 use crate::replay::ReplayBuffer;
 use crate::rmir::{rmir_sample, RmirPlans, RmirStats};
 use crate::simsiam::StSimSiam;
-use crate::timing::Stopwatch;
-use urcl_graph::{SensorNetwork, SupportSet};
+use urcl_graph::SensorNetwork;
 use urcl_json::{ToJson, Value};
-use urcl_models::Backbone;
-use urcl_stdata::{stack_samples, ContinualSplit, DatasetConfig, Sample};
-use urcl_tensor::autodiff::{Session, Tape, Var};
+use urcl_models::{record_forward, Backbone};
+use urcl_stdata::{stack_samples, Batch, ContinualSplit, DatasetConfig, Sample};
+use urcl_tensor::autodiff::{Session, Tape};
 use urcl_tensor::{
-    note_plan_cache_entries, note_plan_cache_eviction, plan_enabled, trim_excess, Adam, AdamState,
-    ExecPlan, Optimizer, ParamStore, PlanSpec, PolySpec, Rng, Tensor,
+    trim_excess, Adam, AdamState, Optimizer, ParamStore, Phase, PlanExecutor, Recording, Rng,
+    Tensor,
 };
+use urcl_trace::{SpanGuard, Stopwatch};
 
 /// Training strategy for streaming data (Section V-B1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -385,45 +385,45 @@ struct StepOutcome {
     replay_inserted: usize,
 }
 
-/// Cache key for compiled training plans. Batch shapes are deliberately
-/// *absent*: plans compile batch-polymorphic, so one entry per
-/// architecture×config covers every minibatch size the stream produces
-/// (epoch-tail chunks included), and everything that varies per
-/// augmentation draw — view signals, perturbed supports, contrastive
-/// masks — is bound through promoted input slots at replay. The graph
-/// structure is a pure function of these two flags for a fixed backbone.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct PlanKey {
-    ssl: bool,
-    ewc: bool,
-}
-
-/// One bounded-cache entry: a compiled step plan plus how many per-view
-/// support slots it promoted (0 for support-free backbones).
-struct CachedPlan {
-    key: PlanKey,
-    plan: ExecPlan,
-    view_slots: usize,
-}
-
-/// Bound on the trainer's compiled-plan cache. Poly compiles make one
-/// entry per key the common case; the bound only matters when poly
-/// degrades to mono (then per-shape entries rotate through LRU-style).
+/// Bound on each plan executor the trainer owns. Plans compile
+/// batch-polymorphic, so one plan per graph is the common case; the bound
+/// only matters when a graph degrades to mono-shape plans (the batch-1
+/// SSL step, or a backbone that is not batch-affine), whose per-shape
+/// entries then rotate least-recently-used first.
 const PLAN_CACHE_CAP: usize = 8;
+
+/// The plan executor type of this crate: spans come from `urcl-trace`.
+pub(crate) type Executor = PlanExecutor<Option<SpanGuard>>;
+
+/// A bounded executor whose compiles open a `plan_compile` span; its
+/// runs are timed by the caller's own span (`eval`, `virtual_update`,
+/// `rmir`).
+pub(crate) fn executor() -> Executor {
+    PlanExecutor::new(PLAN_CACHE_CAP, |phase| {
+        (phase == Phase::Compile).then(|| urcl_trace::span("plan_compile"))
+    })
+}
+
+/// The training-step executor: compiles, replays and the interpreter's
+/// forward and backward passes each open a span, and its size and
+/// evictions are the `plan.cache_entries` / `plan.cache_evictions`
+/// gauges.
+fn step_executor() -> Executor {
+    PlanExecutor::new(PLAN_CACHE_CAP, |phase| {
+        Some(urcl_trace::span(match phase {
+            Phase::Compile => "plan_compile",
+            Phase::Replay => "plan_exec",
+            Phase::Record => "forward",
+            Phase::Backward => "backward",
+        }))
+    })
+    .with_cache_gauges()
+}
 
 /// Thread-local buffer-pool budget (f32 slots) enforced at period
 /// boundaries: poly replays at unseen batch sizes retire odd-sized
 /// buffers into the pool, and the quiesce-point trim bounds that residue.
 const POOL_TRIM_BUDGET: usize = 4 << 20;
-
-/// A recorded step graph plus everything a plan compile needs from it.
-struct RecordedStep {
-    tape: Tape,
-    inputs: Vec<usize>,
-    bindings: Vec<(urcl_tensor::ParamId, usize)>,
-    root: usize,
-    view_slots: usize,
-}
 
 /// Drives a backbone through the streaming protocol.
 pub struct ContinualTrainer {
@@ -434,15 +434,15 @@ pub struct ContinualTrainer {
     opt: Adam,
     rmir_stats: RmirStats,
     cursor: TrainCursor,
-    /// Compiled training plans, most-recently-used first, bounded at
-    /// [`PLAN_CACHE_CAP`]. Derived state: never checkpointed, rebuilt on
-    /// demand, dropped whenever captured constants could go stale (run
-    /// start, restore, EWC re-anchoring).
-    plans: Vec<CachedPlan>,
-    /// Contrastive mask pairs `(eye, 1 − eye)` per seen batch size, kept
-    /// alive so plan replays can bind them by reference. Pure function of
-    /// the batch size — never stale.
-    masks: Vec<(usize, (Tensor, Tensor))>,
+    /// Training-step plans. Derived state like every executor here: never
+    /// checkpointed, rebuilt on demand, dropped whenever captured
+    /// constants could go stale (run start, restore, EWC re-anchoring).
+    /// Plans are told apart by `accepts()` alone: SSL and task-only
+    /// steps differ in input count, and the EWC penalty only appears
+    /// after a re-anchoring, which clears this cache.
+    plans: Executor,
+    /// Forward-only evaluation plans, reused across periods.
+    eval_plans: Executor,
     /// RMIR's dedicated virtual-update/scoring plans (see `rmir.rs`).
     rmir_plans: RmirPlans,
 }
@@ -461,8 +461,8 @@ impl ContinualTrainer {
             opt,
             rmir_stats: RmirStats::default(),
             cursor: TrainCursor::default(),
-            plans: Vec::new(),
-            masks: Vec::new(),
+            plans: step_executor(),
+            eval_plans: executor(),
             rmir_plans: RmirPlans::default(),
         }
     }
@@ -518,9 +518,14 @@ impl ContinualTrainer {
         self.buffer = ReplayBuffer::from_samples(snapshot.replay_capacity, snapshot.replay);
         self.rmir_stats = snapshot.rmir;
         self.cursor = snapshot.cursor;
+        self.clear_plans();
+    }
+
+    /// Drops every compiled plan the trainer holds.
+    fn clear_plans(&self) {
         self.plans.clear();
+        self.eval_plans.clear();
         self.rmir_plans.clear();
-        note_plan_cache_entries(0);
     }
 
     /// Runs the full streaming protocol over a *normalized* split,
@@ -582,9 +587,7 @@ impl ContinualTrainer {
     ) -> RunOutcome {
         self.opt = Adam::new(self.config.lr);
         self.cursor = TrainCursor::default();
-        self.plans.clear();
-        self.rmir_plans.clear();
-        note_plan_cache_entries(0);
+        self.clear_plans();
         self.drive(backbone, simsiam, store, net, split, data_cfg, scale, hook)
     }
 
@@ -742,14 +745,14 @@ impl ContinualTrainer {
                     self.config.batch_size,
                     self.config.ewc_fisher_batches,
                 ));
-                // Cached plans captured the *previous* anchors as
+                // Cached step plans captured the *previous* anchors as
                 // constants; the new penalty needs a fresh compile. (RMIR
-                // plans are task-loss only and stay valid.)
+                // and evaluation plans carry no penalty and stay valid.)
                 self.plans.clear();
-                note_plan_cache_entries(0);
             }
 
-            let (metrics, infer_per_obs) = evaluate(backbone, store, &test_windows);
+            let (metrics, infer_per_obs) =
+                evaluate_with(&self.eval_plans, backbone, store, &test_windows);
             // Quiesce point: poly replays at odd batch sizes retire
             // odd-sized buffers; bound the pool residue before the next
             // period. Bitwise-neutral — the pool only recycles capacity.
@@ -801,153 +804,6 @@ impl ContinualTrainer {
         })
     }
 
-    /// Records the full training-loss graph — MAE task loss (Eq. 28),
-    /// optional SSL term (Eq. 29), optional EWC penalty — onto `sess`'s
-    /// tape and returns the scalar total.
-    ///
-    /// Both execution engines call this: the interpreter re-records it
-    /// every step, the plan compiler records it once per [`PlanKey`].
-    /// A single recording function guarantees the engines see the
-    /// *identical* graph, which is what makes `URCL_PLAN=0` — and a
-    /// mixed plan/interpreter crash-resume — bitwise reproducible.
-    fn record_loss<'t>(
-        &self,
-        backbone: &dyn Backbone,
-        simsiam: Option<&StSimSiam>,
-        store: &ParamStore,
-        sess: &mut Session<'t, '_>,
-        x: Var<'t>,
-        y: Var<'t>,
-        views: Option<(Var<'t>, Option<&SupportSet>, Var<'t>, Option<&SupportSet>)>,
-    ) -> Var<'t> {
-        let pred = backbone.forward(sess, x);
-        let task_loss = pred.sub(y).abs().mean_all(); // MAE, Eq. 28
-        let mut total = match (views, simsiam) {
-            (Some((x1, s1, x2, s2)), Some(sim)) => {
-                let ssl = sim.loss_from_vars(sess, backbone, x1, s1, x2, s2);
-                task_loss.add(ssl.scale(self.config.ssl_weight))
-            }
-            _ => task_loss,
-        };
-        if self.config.strategy == Strategy::Ewc {
-            if let Some(state) = &self.ewc {
-                total = total.add(state.penalty(sess, store, self.config.ewc_lambda));
-            }
-        }
-        total
-    }
-
-    /// Records one full step graph over concrete tensors and collects the
-    /// plan-compile ingredients: the replayable input slots `[x, y]`
-    /// (+ `[x1, x2]` with SSL) plus every promoted SSL slot — the
-    /// contrastive masks and each view's per-layer graph supports, in
-    /// recording order. Promotion is what turns the augmentation's
-    /// captured constants into per-replay inputs, so one compiled plan
-    /// serves every draw.
-    fn record_step(
-        &self,
-        backbone: &dyn Backbone,
-        simsiam: Option<&StSimSiam>,
-        store: &ParamStore,
-        x: &Tensor,
-        y: &Tensor,
-        views: Option<(&AugmentedView, &AugmentedView)>,
-    ) -> RecordedStep {
-        let tape = Tape::new();
-        let (root, inputs, bindings, view_slots);
-        {
-            let mut sess = Session::new(&tape, store);
-            let xv = sess.input(x.clone());
-            let yv = sess.input(y.clone());
-            let mut ins = vec![xv.index(), yv.index()];
-            let views_v = views.map(|(v1, v2)| {
-                let x1 = sess.input(v1.x.clone());
-                let x2 = sess.input(v2.x.clone());
-                ins.push(x1.index());
-                ins.push(x2.index());
-                (x1, v1.supports.as_ref(), x2, v2.supports.as_ref())
-            });
-            let total = self.record_loss(backbone, simsiam, store, &mut sess, xv, yv, views_v);
-            let mut slots = 0;
-            if views.is_some() {
-                let eye = sess.slot_nodes("ssl.eye");
-                assert_eq!(eye.len(), 1, "expected exactly one ssl.eye slot");
-                ins.extend(eye);
-                let off = sess.slot_nodes("ssl.off_mask");
-                assert_eq!(
-                    off.len(),
-                    1,
-                    "expected one ssl.off_mask slot (batch ≥ 2 graphs only)"
-                );
-                ins.extend(off);
-                let v1 = sess.slot_nodes_prefix("ssl.v1.");
-                let v2 = sess.slot_nodes_prefix("ssl.v2.");
-                assert_eq!(v1.len(), v2.len(), "view support slot counts differ");
-                slots = v1.len();
-                ins.extend(v1);
-                ins.extend(v2);
-            }
-            root = total.index();
-            inputs = ins;
-            view_slots = slots;
-            bindings = sess.into_bindings();
-        }
-        RecordedStep {
-            tape,
-            inputs,
-            bindings,
-            root,
-            view_slots,
-        }
-    }
-
-    /// Compiles a batch-polymorphic training plan for this step graph:
-    /// the step is recorded twice (at `b` and, over zero-filled shape
-    /// proxies, at `b + 1`) and the compiler abstracts the batch dim from
-    /// the pair. Falls back to a mono plan automatically when the graph
-    /// is not batch-affine.
-    fn compile_step_plan(
-        &self,
-        backbone: &dyn Backbone,
-        simsiam: Option<&StSimSiam>,
-        store: &ParamStore,
-        x: &Tensor,
-        y: &Tensor,
-        views: Option<&(AugmentedView, AugmentedView)>,
-    ) -> (ExecPlan, usize) {
-        let _compile_sp = urcl_trace::span("plan_compile");
-        let rec0 = self.record_step(backbone, simsiam, store, x, y, views.map(|(a, b)| (a, b)));
-        let b0 = x.shape()[0];
-        let mut xs = x.shape().to_vec();
-        let mut ys = y.shape().to_vec();
-        xs[0] = b0 + 1;
-        ys[0] = b0 + 1;
-        let proxies = views.map(|(v1, v2)| (v1.shape_proxy(b0 + 1), v2.shape_proxy(b0 + 1)));
-        let rec1 = self.record_step(
-            backbone,
-            simsiam,
-            store,
-            &Tensor::zeros(&xs),
-            &Tensor::zeros(&ys),
-            proxies.as_ref().map(|(a, b)| (a, b)),
-        );
-        let plan = ExecPlan::compile(
-            &rec0.tape,
-            &PlanSpec {
-                root: Some(rec0.root),
-                inputs: &rec0.inputs,
-                outputs: &[],
-                bindings: &rec0.bindings,
-                poly: Some(PolySpec {
-                    tape: &rec1.tape,
-                    batch0: b0,
-                    batch1: b0 + 1,
-                }),
-            },
-        );
-        (plan, rec0.view_slots)
-    }
-
     /// One optimisation step on a chunk of training windows.
     fn train_step(
         &mut self,
@@ -981,7 +837,7 @@ impl ContinualTrainer {
                     self.config.lr,
                     self.config.rmir_candidates,
                     select,
-                    &mut self.rmir_plans,
+                    &self.rmir_plans,
                 );
                 rmir_ran = true;
                 self.rmir_stats.record_round(picked.len());
@@ -1030,121 +886,47 @@ impl ContinualTrainer {
 
         // --- Forward, L_all = L_task + L_ssl (Eq. 29), backward. ---
         //
-        // Two bitwise-identical engines run this graph. The compiled
-        // `ExecPlan` path is the default: plans are batch-polymorphic and
-        // bind everything the augmentation randomizes — view signals,
-        // perturbed supports, contrastive masks — through promoted input
-        // slots, so the paper-default step (SSL + STA on) replays one
-        // plan per architecture×config across every draw and batch size.
-        // The interpreter runs under `URCL_PLAN=0` and for the one
-        // structurally different graph: the single-sample SSL loss has no
-        // negatives (no `off_mask` branch), so SSL steps at batch 1
-        // re-record. One-shot forecasting (`pipeline.rs`) always
-        // interprets: its graphs run once each.
-        store.zero_grads();
-        let ssl_on = ssl_views.is_some();
-        let batch_len = train_batch.x.shape()[0];
-        let plannable = plan_enabled() && !(ssl_on && batch_len == 1);
-        let loss_value = if plannable {
-            let key = PlanKey {
-                ssl: ssl_on,
-                ewc: self.config.strategy == Strategy::Ewc && self.ewc.is_some(),
-            };
-            if ssl_on && !self.masks.iter().any(|(s, _)| *s == batch_len) {
-                self.masks
-                    .push((batch_len, StSimSiam::contrastive_masks(batch_len)));
-            }
-            let template = backbone.support_template();
-            let pos = self.plans.iter().position(|entry| {
-                entry.key == key && {
-                    let refs = step_refs(
-                        &train_batch,
-                        &ssl_views,
-                        entry.view_slots,
-                        template,
-                        &self.masks,
-                    );
-                    entry.plan.accepts(&refs)
-                }
-            });
-            let pos = match pos {
-                Some(p) => p,
-                None => {
-                    let (plan, view_slots) = self.compile_step_plan(
-                        backbone,
-                        simsiam,
-                        store,
-                        &train_batch.x,
-                        &train_batch.y,
-                        ssl_views.as_ref(),
-                    );
-                    self.plans.insert(
-                        0,
-                        CachedPlan {
-                            key,
-                            plan,
-                            view_slots,
-                        },
-                    );
-                    if self.plans.len() > PLAN_CACHE_CAP {
-                        self.plans.pop();
-                        note_plan_cache_eviction();
-                    }
-                    note_plan_cache_entries(self.plans.len() as u64);
-                    0
-                }
-            };
-            if pos != 0 {
-                // LRU: most-recently-used first, so mono-degraded shape
-                // churn evicts the stalest entry.
-                let entry = self.plans.remove(pos);
-                self.plans.insert(0, entry);
-            }
-            let entry = &self.plans[0];
-            let refs = step_refs(
-                &train_batch,
-                &ssl_views,
-                entry.view_slots,
-                template,
-                &self.masks,
-            );
-            let plan_sp = urcl_trace::span("plan_exec");
-            let (loss, grads) = entry.plan.run_training(store, &refs);
-            drop(plan_sp);
-            {
-                let _optim_sp = urcl_trace::span("optim");
-                store.accumulate_grads(entry.plan.bindings(), &grads);
-                store.clip_grad_norm(self.config.clip_norm);
-                self.opt.step(store);
-            }
-            loss.item()
-        } else {
-            let tape = Tape::new();
-            let mut sess = Session::new(&tape, store);
-            let x = sess.input(train_batch.x.clone());
-            let y = sess.input(train_batch.y.clone());
-            let views = ssl_views.as_ref().map(|(v1, v2)| {
-                let x1 = sess.input(v1.x.clone());
-                let x2 = sess.input(v2.x.clone());
-                (x1, v1.supports.as_ref(), x2, v2.supports.as_ref())
-            });
-            let forward_sp = urcl_trace::span("forward");
-            let total = self.record_loss(backbone, simsiam, store, &mut sess, x, y, views);
-            let loss_value = total.value().item();
-            drop(forward_sp);
-            let grads = {
-                let _backward_sp = urcl_trace::span("backward");
-                tape.backward(total)
-            };
-            let binds = sess.into_bindings();
-            {
-                let _optim_sp = urcl_trace::span("optim");
-                store.accumulate_grads(&binds, &grads);
-                store.clip_grad_norm(self.config.clip_norm);
-                self.opt.step(store);
-            }
-            loss_value
+        // The step executor replays one batch-polymorphic plan per graph
+        // (or, under `URCL_PLAN=0`, re-records on the interpreter). The
+        // plan binds everything the augmentation randomizes — view
+        // signals, perturbed supports, contrastive masks — through
+        // promoted input slots, so the paper-default step (SSL + STA on)
+        // replays one plan across every draw and batch size. The batch-1
+        // SSL graph differs in structure (no negatives, no `off_mask`),
+        // so its compile degrades to a mono-shape plan of its own.
+        let batch_len = train_batch.len();
+        let masks = StSimSiam::contrastive_masks(batch_len);
+        let graph = StepGraph {
+            backbone,
+            ssl: ssl_views
+                .as_ref()
+                .zip(simsiam)
+                .map(|(views, head)| SslTerm {
+                    head,
+                    weight: self.config.ssl_weight,
+                    views,
+                    masks: &masks,
+                }),
+            ewc: self
+                .ewc
+                .as_ref()
+                .filter(|_| self.config.strategy == Strategy::Ewc)
+                .map(|state| (state, self.config.ewc_lambda)),
         };
+        store.zero_grads();
+        let step = self.plans.train(
+            store,
+            batch_len,
+            |n| graph.inputs(&train_batch, n),
+            |b| graph.record(store, &train_batch, b),
+        );
+        {
+            let _optim_sp = urcl_trace::span("optim");
+            store.accumulate_grads(&step.bindings, &step.grads);
+            store.clip_grad_norm(self.config.clip_norm);
+            self.opt.step(store);
+        }
+        let loss_value = step.loss;
 
         // The buffer keeps the *original* observations (Section IV-B).
         let replay_inserted = if is_urcl {
@@ -1161,47 +943,123 @@ impl ContinualTrainer {
     }
 }
 
-/// Builds the positional replay bindings for a cached step plan, in the
-/// promotion order [`ContinualTrainer::record_step`] established:
-/// `[x, y]`, then with SSL `[x1, x2, eye, off_mask, view-1 supports…,
-/// view-2 supports…]`. A view that kept the original graph (temporal
-/// transforms, augmentation off) binds the backbone's construction-time
-/// support template — bitwise what its recording captured. Support slot
-/// `j` of a view binds support `j % len` of its set: slots are recorded
-/// layer-major and every spatial layer diffuses over the same set.
-fn step_refs<'a>(
-    batch: &'a urcl_stdata::Batch,
-    views: &'a Option<(AugmentedView, AugmentedView)>,
-    view_slots: usize,
-    template: Option<&'a SupportSet>,
-    masks: &'a [(usize, (Tensor, Tensor))],
-) -> Vec<&'a Tensor> {
-    let mut refs: Vec<&Tensor> = vec![&batch.x, &batch.y];
-    if let Some((v1, v2)) = views {
-        refs.push(&v1.x);
-        refs.push(&v2.x);
-        let b = batch.x.shape()[0];
-        let (eye, off) = &masks
-            .iter()
-            .find(|(s, _)| *s == b)
-            .expect("contrastive masks cached before plan replay")
-            .1;
-        refs.push(eye);
-        refs.push(off);
-        for view in [v1, v2] {
-            if view_slots == 0 {
-                continue;
-            }
-            let set = view.supports.as_ref().or(template).expect(
-                "backbone registered support slots but exposes no support template",
-            );
-            let sup = set.all();
-            for j in 0..view_slots {
-                refs.push(sup[j % sup.len()]);
-            }
+/// The STCRL half of a [`StepGraph`] (Eq. 12–16, weighted into Eq. 29).
+pub struct SslTerm<'a> {
+    /// The STSimSiam head.
+    pub head: &'a StSimSiam,
+    /// Weight of `L_ssl` in `L_all`.
+    pub weight: f32,
+    /// The step's two augmented views.
+    pub views: &'a (AugmentedView, AugmentedView),
+    /// [`StSimSiam::contrastive_masks`] for the step's batch size, bound
+    /// to a plan's `ssl.eye` / `ssl.off_mask` slots at replay.
+    pub masks: &'a (Tensor, Tensor),
+}
+
+/// One training step's loss graph — MAE task loss (Eq. 28), optional SSL
+/// term (Eq. 29), optional EWC penalty — and how a compiled plan of it
+/// binds its inputs. The trainer runs every step through this one
+/// recording: the plan compiler and the interpreter both call
+/// [`Self::record`], so the engines see the *identical* graph — which is
+/// what makes `URCL_PLAN=0`, and a mixed plan/interpreter crash-resume,
+/// bitwise reproducible.
+pub struct StepGraph<'a> {
+    /// The backbone under training.
+    pub backbone: &'a dyn Backbone,
+    /// The STCRL term; `None` trains the task loss alone.
+    pub ssl: Option<SslTerm<'a>>,
+    /// EWC state and its penalty strength λ.
+    pub ewc: Option<(&'a EwcState, f32)>,
+}
+
+impl<'a> StepGraph<'a> {
+    /// Records the graph at batch size `b`: over `batch` itself at its
+    /// own size, over zero proxies at any other. The replayable inputs
+    /// are `[x, y]`, then with SSL `[x1, x2]` plus every promoted SSL
+    /// slot in recording order: `eye`, `off_mask` (absent at batch 1 — a
+    /// single sample has no negatives), view-1 supports…, view-2
+    /// supports…. Promotion turns the augmentation's captured constants
+    /// into per-replay inputs, so one compiled plan serves every draw.
+    pub fn record(&self, store: &ParamStore, batch: &Batch, b: usize) -> Recording {
+        let tape = Tape::new();
+        let mut sess = Session::new(&tape, store);
+        let x = sess.input(batch.x.at_batch(b));
+        let y = sess.input(batch.y.at_batch(b));
+        let mut inputs = vec![x.index(), y.index()];
+        let view_vars = self.ssl.as_ref().map(|ssl| {
+            let (v1, v2) = ssl.views;
+            let x1 = sess.input(v1.x.at_batch(b));
+            let x2 = sess.input(v2.x.at_batch(b));
+            inputs.extend([x1.index(), x2.index()]);
+            (x1, x2)
+        });
+        let mut total = self.backbone.forward(&mut sess, x).sub(y).abs().mean_all(); // Eq. 28
+        if let (Some(ssl), Some((x1, x2))) = (&self.ssl, view_vars) {
+            let (v1, v2) = ssl.views;
+            let (s1, s2) = (v1.supports.as_ref(), v2.supports.as_ref());
+            let loss = ssl
+                .head
+                .loss_from_vars(&mut sess, self.backbone, x1, s1, x2, s2);
+            total = total.add(loss.scale(ssl.weight));
+            inputs.extend(sess.slot_nodes("ssl.eye"));
+            inputs.extend(sess.slot_nodes("ssl.off_mask"));
+            let s1 = sess.slot_nodes_prefix("ssl.v1.");
+            let s2 = sess.slot_nodes_prefix("ssl.v2.");
+            assert_eq!(s1.len(), s2.len(), "view support slot counts differ");
+            inputs.extend(s1);
+            inputs.extend(s2);
+        }
+        if let Some((state, lambda)) = self.ewc {
+            total = total.add(state.penalty(&mut sess, store, lambda));
+        }
+        let root = Some(total.index());
+        let bindings = sess.into_bindings();
+        Recording {
+            tape,
+            root,
+            inputs,
+            outputs: vec![],
+            bindings,
         }
     }
-    refs
+
+    /// Replay inputs for a plan of this graph with `n` input slots, in
+    /// [`Self::record`]'s order. The view support slots share out what
+    /// `n` leaves after the fixed prefix; a plan recorded from a
+    /// different graph gets a list of the wrong length, which its
+    /// `accepts()` rejects. A view that kept the original graph (temporal
+    /// transforms, augmentation off) binds the backbone's
+    /// construction-time support template — bitwise what its recording
+    /// captured. Support slot `j` of a view binds support `j % len` of
+    /// its set: slots are recorded layer-major and every spatial layer
+    /// diffuses over the same set.
+    pub fn inputs(&self, batch: &'a Batch, n: usize) -> Vec<&'a Tensor> {
+        let mut refs: Vec<&Tensor> = vec![&batch.x, &batch.y];
+        let Some(ssl) = &self.ssl else {
+            return refs;
+        };
+        let (v1, v2) = ssl.views;
+        let (eye, off) = ssl.masks;
+        refs.extend([&v1.x, &v2.x, eye]);
+        if batch.len() > 1 {
+            refs.push(off);
+        }
+        let view_slots = n.saturating_sub(refs.len()) / 2;
+        if view_slots == 0 {
+            return refs;
+        }
+        let template = self.backbone.support_template();
+        for view in [v1, v2] {
+            let set = view
+                .supports
+                .as_ref()
+                .or(template)
+                .expect("backbone registered support slots but exposes no support template");
+            let sup = set.all();
+            refs.extend((0..view_slots).map(|j| sup[j % sup.len()]));
+        }
+        refs
+    }
 }
 
 /// Evenly subsamples a window list down to at most `max` entries.
@@ -1222,73 +1080,30 @@ pub fn evaluate(
     store: &ParamStore,
     windows: &[Sample],
 ) -> (Metrics, f64) {
+    evaluate_with(&executor(), backbone, store, windows)
+}
+
+/// [`evaluate`] through a caller-held executor, so repeated evaluations
+/// of one backbone (one per period) compile their forward plan once. The
+/// plan is batch-polymorphic: it serves the remainder chunk too. Compiles
+/// happen outside the stopwatch, which times inference only.
+fn evaluate_with(
+    plans: &Executor,
+    backbone: &dyn Backbone,
+    store: &ParamStore,
+    windows: &[Sample],
+) -> (Metrics, f64) {
     let mut metrics = Metrics::new();
     if windows.is_empty() {
         return (metrics, 0.0);
     }
     let _eval_sp = urcl_trace::span("eval");
     let mut watch = Stopwatch::new();
-    // Forward-only plan cache. The first chunk compiles a
-    // batch-polymorphic plan that also serves the remainder chunk (and
-    // any other batch size); the list only grows if poly compilation
-    // degrades to mono. Compiles happen outside the stopwatch, which
-    // times inference only.
-    let mut plans: Vec<ExecPlan> = Vec::new();
     for chunk in windows.chunks(32) {
         let batch = stack_samples(chunk);
-        let pred = if plan_enabled() {
-            if !plans.iter().any(|p| p.accepts(&[&batch.x])) {
-                let _compile_sp = urcl_trace::span("plan_compile");
-                let record = |x: &Tensor| {
-                    let tape = Tape::new();
-                    let (inputs, outputs, binds);
-                    {
-                        let mut sess = Session::new(&tape, store);
-                        let xv = sess.input(x.clone());
-                        let pred = backbone.forward(&mut sess, xv);
-                        inputs = vec![xv.index()];
-                        outputs = vec![pred.index()];
-                        binds = sess.into_bindings();
-                    }
-                    (tape, inputs, outputs, binds)
-                };
-                let (tape0, inputs, outputs, binds) = record(&batch.x);
-                let b0 = batch.x.shape()[0];
-                let mut xs = batch.x.shape().to_vec();
-                xs[0] = b0 + 1;
-                let (tape1, _, _, _) = record(&Tensor::zeros(&xs));
-                plans.push(ExecPlan::compile(
-                    &tape0,
-                    &PlanSpec {
-                        root: None,
-                        inputs: &inputs,
-                        outputs: &outputs,
-                        bindings: &binds,
-                        poly: Some(PolySpec {
-                            tape: &tape1,
-                            batch0: b0,
-                            batch1: b0 + 1,
-                        }),
-                    },
-                ));
-            }
-            let plan = plans
-                .iter()
-                .find(|p| p.accepts(&[&batch.x]))
-                .expect("plan compiled above");
-            watch.start();
-            let pred = plan.run_forward(store, &[&batch.x]).remove(0);
-            watch.stop();
-            pred
-        } else {
-            watch.start();
-            let tape = Tape::new();
-            let mut sess = Session::new(&tape, store);
-            let x = sess.input(batch.x.clone());
-            let pred = backbone.forward(&mut sess, x).value();
-            watch.stop();
-            pred
-        };
+        let record = |b| record_forward(backbone, store, batch.x.at_batch(b));
+        plans.prepare(&[&batch.x], record);
+        let pred = watch.time(|| plans.forward(store, &[&batch.x], record).remove(0));
         metrics.update(&pred, &batch.y);
     }
     let per_obs = watch.total_seconds() / windows.len() as f64;

@@ -1,7 +1,8 @@
 //! The [`Backbone`] trait: the paper's STEncoder / STDecoder contract.
 
 use urcl_graph::SupportSet;
-use urcl_tensor::autodiff::{Session, Var};
+use urcl_tensor::autodiff::{Session, Tape, Var};
+use urcl_tensor::{ParamStore, Recording, Tensor};
 
 /// Shared geometry of a spatio-temporal backbone.
 #[derive(Debug, Clone)]
@@ -147,6 +148,51 @@ impl<B: Backbone + ?Sized> Backbone for Box<B> {
 
     fn forward<'t>(&self, sess: &mut Session<'t, '_>, x: Var<'t>) -> Var<'t> {
         (**self).forward(sess, x)
+    }
+}
+
+/// Records `model`'s prediction graph over `x` — input `[x]`, output
+/// `[prediction]` — for a plan compile or an interpreter run (see
+/// [`urcl_tensor::PlanExecutor`]). Evaluation, RMIR scoring and serving
+/// all run this one graph.
+pub fn record_forward<B: Backbone + ?Sized>(model: &B, store: &ParamStore, x: Tensor) -> Recording {
+    let tape = Tape::new();
+    let mut sess = Session::new(&tape, store);
+    let xv = sess.input(x);
+    let pred = model.forward(&mut sess, xv);
+    let (inputs, outputs) = (vec![xv.index()], vec![pred.index()]);
+    let bindings = sess.into_bindings();
+    Recording {
+        tape,
+        root: None,
+        inputs,
+        outputs,
+        bindings,
+    }
+}
+
+/// Records the MAE task loss `mean |f(x) − y|` (Eq. 28) as a training
+/// graph with inputs `[x, y]` — RMIR's virtual update (Eq. 3) and the
+/// task-only training benches run it.
+pub fn record_mae<B: Backbone + ?Sized>(
+    model: &B,
+    store: &ParamStore,
+    x: Tensor,
+    y: Tensor,
+) -> Recording {
+    let tape = Tape::new();
+    let mut sess = Session::new(&tape, store);
+    let xv = sess.input(x);
+    let yv = sess.input(y);
+    let loss = model.forward(&mut sess, xv).sub(yv).abs().mean_all();
+    let (root, inputs) = (Some(loss.index()), vec![xv.index(), yv.index()]);
+    let bindings = sess.into_bindings();
+    Recording {
+        tape,
+        root,
+        inputs,
+        outputs: vec![],
+        bindings,
     }
 }
 

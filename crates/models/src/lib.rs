@@ -35,7 +35,7 @@ pub mod stgode;
 
 pub use agcrn::Agcrn;
 pub use arima::Arima;
-pub use backbone::{Backbone, BackboneConfig};
+pub use backbone::{record_forward, record_mae, Backbone, BackboneConfig};
 pub use dcrnn::Dcrnn;
 pub use geoman::GeoMan;
 pub use graphwavenet::{GraphWaveNet, GwnConfig};

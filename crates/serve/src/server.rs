@@ -12,7 +12,6 @@ use std::time::Duration;
 
 use urcl_core::persist::CheckpointDir;
 use urcl_models::Backbone;
-use urcl_tensor::autodiff::{Session, Tape};
 use urcl_tensor::{ParamStore, Tensor};
 
 use crate::cache::CachePolicy;
@@ -305,10 +304,15 @@ impl Server {
 /// regions, a batched forward is **bitwise identical** to running each
 /// window through a batch of one.
 ///
+/// The forward pass goes through the snapshot's plan executor
+/// ([`ModelSnapshot::forward`]): it replays a compiled batch-polymorphic
+/// plan, or re-records a tape when `URCL_PLAN=0` selects the interpreter
+/// oracle. Both give identical bits — pinned by the hot-swap suite.
+///
 /// Activation kernels follow the calling thread's
-/// [`urcl_tensor::FastActGuard`] state at record time, so a reference
-/// forward for a [`ServeConfig::fast_activations`] tenant reproduces the
-/// server bit for bit by wrapping this call in a guard.
+/// [`urcl_tensor::FastActGuard`] state at replay (or record) time, so a
+/// reference forward for a [`ServeConfig::fast_activations`] tenant
+/// reproduces the server bit for bit by wrapping this call in a guard.
 pub fn forward_batch<B: Backbone + ?Sized>(
     model: &B,
     snapshot: &ModelSnapshot,
@@ -327,20 +331,7 @@ pub fn forward_batch<B: Backbone + ?Sized>(
     }
     let x = Tensor::from_vec(data, &[windows.len(), m, n, c]);
 
-    // Replay the snapshot's compiled plan for this batch shape when the
-    // plan engine is on (the default); re-record a tape otherwise. Both
-    // paths produce identical bits — pinned by the hot-swap suite.
-    let pred = if urcl_tensor::plan_enabled() {
-        let plan = snapshot.forward_plan(model, &x);
-        let _sp = urcl_trace::span("serve_forward");
-        plan.run_forward(snapshot.store(), &[&x]).remove(0) // [B, H, N]
-    } else {
-        let tape = Tape::new();
-        let mut sess = Session::new(&tape, snapshot.store());
-        let xv = sess.input(x);
-        let _sp = urcl_trace::span("serve_forward");
-        model.forward(&mut sess, xv).value() // [B, H, N]
-    };
+    let pred = snapshot.forward(model, &x); // [B, H, N]
     let (h, nodes) = (pred.shape()[1], pred.shape()[2]);
     (0..windows.len())
         .map(|i| {

@@ -1,14 +1,16 @@
 //! Immutable model snapshots: the unit of hot-swap.
 
-use std::sync::{Arc, Mutex};
-
 use urcl_core::persist::{copy_store_checked, Checkpoint};
-use urcl_models::Backbone;
+use urcl_models::{record_forward, Backbone};
 use urcl_stdata::Normalizer;
-use urcl_tensor::autodiff::{Session, Tape};
-use urcl_tensor::{ExecPlan, ParamStore, PlanSpec, PolySpec, Tensor};
+use urcl_tensor::{ParamStore, Phase, PlanExecutor, Tensor};
+use urcl_trace::SpanGuard;
 
 use crate::server::ServeError;
+
+/// Bound on a snapshot's cached plans (one per batch size at most, if an
+/// architecture only compiles mono-shape plans).
+const PLAN_CACHE_CAP: usize = 64;
 
 /// One immutable, self-contained serving state: trained parameters plus
 /// the normalizer statistics that map physical units into the model's
@@ -24,14 +26,13 @@ pub struct ModelSnapshot {
     normalizer: Normalizer,
     description: String,
     generation: u64,
-    /// Forward-only [`ExecPlan`]s compiled lazily and shared across every
-    /// shard thread holding this snapshot. Plans are batch-polymorphic,
-    /// so the first batch's compile serves every admission-controlled
-    /// batch size; the list grows only if poly compilation degrades to
-    /// mono for an architecture. Parameters are immutable for the
-    /// snapshot's lifetime, so a plan never goes stale; it dies with the
-    /// snapshot on hot-swap.
-    plans: Mutex<Vec<Arc<ExecPlan>>>,
+    /// Forward plans compiled lazily and shared across every shard thread
+    /// holding this snapshot. Plans are batch-polymorphic, so the first
+    /// batch's compile serves every admission-controlled batch size; more
+    /// entries appear only if an architecture degrades to mono-shape
+    /// plans. Parameters are immutable for the snapshot's lifetime, so a
+    /// plan never goes stale; it dies with the snapshot on hot-swap.
+    plans: PlanExecutor<SpanGuard>,
 }
 
 impl ModelSnapshot {
@@ -64,61 +65,31 @@ impl ModelSnapshot {
             normalizer,
             description: ckpt.description.clone(),
             generation,
-            plans: Mutex::new(Vec::new()),
+            plans: PlanExecutor::new(PLAN_CACHE_CAP, |phase| {
+                urcl_trace::span(match phase {
+                    Phase::Compile => "plan_compile",
+                    _ => "serve_forward",
+                })
+            }),
         })
     }
 
-    /// Returns a forward-only plan accepting `x`, compiling on first
-    /// sight. The compile records the forward pass twice (at `x`'s batch
-    /// size and, over a zero proxy, at one more) and abstracts the batch
-    /// dim, so one compiled plan replays at every batch size the batcher
-    /// forms. `x` itself seeds the recording pass; only its shape matters.
+    /// Normalized predictions `[B, H, N]` for a normalized batch `x`,
+    /// through the snapshot's plan executor: the first batch compiles a
+    /// batch-polymorphic plan every later batch size replays, or — under
+    /// `URCL_PLAN=0` — each batch re-records on the interpreter.
     ///
-    /// Activation-kernel selection (see
-    /// [`urcl_tensor::FastActGuard`]) happens at *replay* time on the
-    /// calling thread, exactly as the interpreter selects at record time,
-    /// so one cached plan serves fast- and exact-activation callers with
-    /// the same bits each would get from a fresh tape.
-    pub fn forward_plan<B: Backbone + ?Sized>(&self, model: &B, x: &Tensor) -> Arc<ExecPlan> {
-        let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(plan) = plans.iter().find(|p| p.accepts(&[x])) {
-            return Arc::clone(plan);
-        }
-        let _compile_sp = urcl_trace::span("plan_compile");
-        let record = |x: &Tensor| {
-            let tape = Tape::new();
-            let (inputs, outputs, binds);
-            {
-                let mut sess = Session::new(&tape, &self.store);
-                let xv = sess.input(x.clone());
-                let pred = model.forward(&mut sess, xv);
-                inputs = vec![xv.index()];
-                outputs = vec![pred.index()];
-                binds = sess.into_bindings();
-            }
-            (tape, inputs, outputs, binds)
-        };
-        let (tape0, inputs, outputs, binds) = record(x);
-        let b0 = x.shape()[0];
-        let mut xs = x.shape().to_vec();
-        xs[0] = b0 + 1;
-        let (tape1, _, _, _) = record(&Tensor::zeros(&xs));
-        let plan = Arc::new(ExecPlan::compile(
-            &tape0,
-            &PlanSpec {
-                root: None,
-                inputs: &inputs,
-                outputs: &outputs,
-                bindings: &binds,
-                poly: Some(PolySpec {
-                    tape: &tape1,
-                    batch0: b0,
-                    batch1: b0 + 1,
-                }),
-            },
-        ));
-        plans.push(Arc::clone(&plan));
-        plan
+    /// Activation-kernel selection (see [`urcl_tensor::FastActGuard`])
+    /// happens at *replay* time on the calling thread, exactly as the
+    /// interpreter selects at record time, so one cached plan serves
+    /// fast- and exact-activation callers with the same bits each would
+    /// get from a fresh tape.
+    pub fn forward<B: Backbone + ?Sized>(&self, model: &B, x: &Tensor) -> Tensor {
+        self.plans
+            .forward(&self.store, &[x], |b| {
+                record_forward(model, &self.store, x.at_batch(b))
+            })
+            .remove(0)
     }
 
     /// The trained parameters this snapshot serves with.

@@ -245,6 +245,11 @@ impl Tape {
         self.nodes.borrow()[idx].value.clone()
     }
 
+    /// Handle to the node at `idx`.
+    pub(crate) fn var(&self, idx: usize) -> Var<'_> {
+        Var { tape: self, idx }
+    }
+
     /// Runs the backward pass from `loss` (which must hold exactly one
     /// element) and returns per-node gradients.
     pub fn backward(&self, loss: Var<'_>) -> Gradients {

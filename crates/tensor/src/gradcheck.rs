@@ -70,7 +70,6 @@ where
                 inputs: &spec_inputs,
                 outputs: &[],
                 bindings: &[],
-                poly: None,
             },
         );
         let (l, grads) = train.run_training(&store, &[x]);
@@ -97,7 +96,6 @@ where
                 inputs: &spec_inputs,
                 outputs: &[loss.index()],
                 bindings: &[],
-                poly: None,
             },
         )
     });

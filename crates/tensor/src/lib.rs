@@ -63,8 +63,8 @@ pub use pool::{
     set_pooling, trim_excess, BufferPoolStats,
 };
 pub use plan::{
-    note_plan_cache_entries, note_plan_cache_eviction, plan_enabled, plan_stats, reset_plan_stats,
-    set_plan, ExecPlan, PlanSpec, PlanStats, PolySpec,
+    plan_enabled, plan_stats, reset_plan_stats, set_plan, thread_plan_compiles, ExecPlan, Phase,
+    PlanExecutor, PlanSpec, PlanStats, Recording, Trained,
 };
 pub use simd::{active_isa, detected_isa, set_simd, simd_enabled, Isa};
 pub use params::{ParamId, ParamStore};

@@ -52,10 +52,15 @@
 //! Like the interpreter, activation dispatch (fast tanh vs libm) follows
 //! the *executing* thread's [`crate::fastact`] state at replay time.
 //!
-//! ## Toggle
+//! ## One seam, and the oracle switch
 //!
-//! Plans are enabled by default; `URCL_PLAN=0` (or [`set_plan`]) makes
-//! every integration point fall back to the tape interpreter.
+//! Callers write one recording function `batch -> `[`Recording`] per
+//! graph and run it through a [`PlanExecutor`], which finds or compiles a
+//! batch-polymorphic plan ([`ExecPlan::compile_poly`]) and replays it.
+//! `URCL_PLAN=0` (or [`set_plan`]`(false)`) selects the oracle instead:
+//! every executor then runs the same recording on the tape interpreter,
+//! the bitwise reference the plan engine is pinned against. Mono-shape
+//! [`ExecPlan::compile`] remains for gradcheck and the parity suites.
 
 use crate::autodiff::{
     accumulate, accumulate_ref, conv1d_backward_dw_with_cols, conv1d_backward_dx,
@@ -67,6 +72,7 @@ use crate::params::{ParamId, ParamStore};
 use crate::pool;
 use crate::shape::numel;
 use crate::tensor::Tensor;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -83,9 +89,8 @@ fn plan_from_env() -> usize {
     })
 }
 
-/// Whether compiled-plan execution is currently enabled. Integration
-/// points (trainer, serve, gradcheck) consult this and fall back to the
-/// tape interpreter when false.
+/// Whether compiled-plan execution is currently enabled. When false,
+/// every [`PlanExecutor`] (and gradcheck) runs the tape interpreter.
 #[inline]
 pub fn plan_enabled() -> bool {
     match PLAN.load(Ordering::Relaxed) {
@@ -99,8 +104,9 @@ pub fn plan_enabled() -> bool {
 }
 
 /// Turns plan execution on or off at runtime, returning the previous
-/// setting. Intended for benches and parity tests; normal runs use the
-/// `URCL_PLAN` environment variable.
+/// setting: `false` selects the interpreter oracle. Intended for benches
+/// and parity tests; normal runs use the `URCL_PLAN` environment
+/// variable.
 pub fn set_plan(on: bool) -> bool {
     let prev = plan_enabled();
     PLAN.store(if on { 1 } else { 2 }, Ordering::Relaxed);
@@ -139,10 +145,10 @@ pub struct PlanStats {
     /// Intermediate values dropped at their precomputed last use (and
     /// recycled into the buffer pool), summed over replays.
     pub values_dropped: u64,
-    /// Current number of plans held by the trainer's bounded cache
-    /// (a gauge — the trainer updates it on insert/evict/clear).
+    /// Current number of plans held by the trainer's bounded step-plan
+    /// executor (a gauge, updated on insert/evict/clear).
     pub cache_entries: u64,
-    /// Plans evicted from the trainer's bounded cache since reset.
+    /// Plans evicted from the trainer's step-plan executor since reset.
     pub cache_evictions: u64,
 }
 
@@ -160,6 +166,18 @@ pub fn plan_stats() -> PlanStats {
     }
 }
 
+thread_local! {
+    static THREAD_COMPILES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Plans compiled by the calling thread since it started. Unlike
+/// [`plan_stats`]`().compiles` it cannot move under concurrent compiles
+/// on other threads, so tests can assert exact compile deltas while the
+/// rest of the suite runs in parallel.
+pub fn thread_plan_compiles() -> u64 {
+    THREAD_COMPILES.with(Cell::get)
+}
+
 /// Zeroes the cumulative plan counters.
 pub fn reset_plan_stats() {
     COMPILES.store(0, Ordering::Relaxed);
@@ -172,14 +190,14 @@ pub fn reset_plan_stats() {
     CACHE_EVICTIONS.store(0, Ordering::Relaxed);
 }
 
-/// Records the current size of the trainer's bounded plan cache (a
-/// gauge: the latest call wins).
-pub fn note_plan_cache_entries(n: u64) {
+/// Records the current size of the gauge-reporting [`PlanExecutor`] (the
+/// latest call wins).
+fn note_plan_cache_entries(n: u64) {
     CACHE_ENTRIES.store(n, Ordering::Relaxed);
 }
 
-/// Counts one eviction from the trainer's bounded plan cache.
-pub fn note_plan_cache_eviction() {
+/// Counts one eviction from the gauge-reporting [`PlanExecutor`].
+fn note_plan_cache_eviction() {
     CACHE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -205,15 +223,50 @@ pub struct PlanSpec<'a> {
     /// these leaves read the *current* value from the [`ParamStore`]
     /// passed at replay time.
     pub bindings: &'a [(ParamId, usize)],
-    /// Optional second recording of the *same* step graph at a different
-    /// batch size, enabling a batch-polymorphic plan. See [`PolySpec`].
-    pub poly: Option<PolySpec<'a>>,
 }
 
-/// Second recording for a batch-polymorphic compile: the caller records
-/// the identical step graph twice, at batch sizes `batch0` (the primary
-/// tape handed to [`ExecPlan::compile`]) and `batch1 = batch0 + 1` (this
-/// tape; dummy data values are fine — only shapes are read). The compiler
+/// One recorded graph plus everything a plan compile needs from it — the
+/// owned counterpart of [`PlanSpec`]. A caller writes one recording
+/// function `batch -> Recording` and hands it to
+/// [`ExecPlan::compile_poly`] or a [`PlanExecutor`]; the interpreter runs
+/// the very same recording, which is what keeps both engines bitwise
+/// identical.
+pub struct Recording {
+    /// The recorded tape.
+    pub tape: Tape,
+    /// Scalar loss node of a training graph; `None` for forward-only.
+    pub root: Option<usize>,
+    /// Per-replay input nodes, in replay order.
+    pub inputs: Vec<usize>,
+    /// Nodes whose values a forward run returns, in order.
+    pub outputs: Vec<usize>,
+    /// Parameter bindings from
+    /// [`Session::into_bindings`](crate::autodiff::Session::into_bindings).
+    pub bindings: Vec<(ParamId, usize)>,
+}
+
+impl Recording {
+    /// The tape interpreter's backward pass from `root`: per-node
+    /// gradients, to feed [`ParamStore::accumulate_grads`] with
+    /// `bindings`. Panics on a forward-only recording.
+    pub fn backward(&self) -> Gradients {
+        let root = self.root.expect("backward of a recording without a root");
+        self.tape.backward(self.tape.var(root))
+    }
+
+    fn spec(&self) -> PlanSpec<'_> {
+        PlanSpec {
+            root: self.root,
+            inputs: &self.inputs,
+            outputs: &self.outputs,
+            bindings: &self.bindings,
+        }
+    }
+}
+
+/// Second recording for a batch-polymorphic compile: the identical graph
+/// recorded at `batch0 + 1` (dummy data values are fine — only shapes are
+/// read), next to the primary tape recorded at `batch0`. The compiler
 /// checks the recordings are op-for-op identical and derives, for every
 /// node dimension, the affine form `k + c·b` in the symbolic batch `b`
 /// fitting both recordings. Two adjacent batch sizes pin an affine form
@@ -222,13 +275,9 @@ pub struct PlanSpec<'a> {
 /// a dimension is not affine in the batch, or a *captured* constant turns
 /// out batch-dependent) the plan silently degrades to a mono-shape plan
 /// for `batch0` — correct, just not shared across batch sizes.
-pub struct PolySpec<'a> {
-    /// The second recording, at `batch1`.
-    pub tape: &'a Tape,
-    /// Batch size of the primary recording.
-    pub batch0: usize,
-    /// Batch size of `tape`; must be `batch0 + 1`.
-    pub batch1: usize,
+struct PolySpec<'a> {
+    tape: &'a Tape,
+    batch0: usize,
 }
 
 /// Where a node's forward value comes from at replay time.
@@ -453,12 +502,35 @@ impl std::ops::Deref for ReplayShapes<'_> {
 }
 
 impl ExecPlan {
-    /// Compiles a recorded tape into a reusable plan.
+    /// Compiles a recorded tape into a reusable mono-shape plan: replays
+    /// must match the recorded input shapes exactly.
     ///
     /// Panics if the spec is inconsistent with the tape: input/binding
     /// indices must name `Leaf`/`Constant` nodes, a training root must be
     /// scalar, and indices must be in range.
     pub fn compile(tape: &Tape, spec: &PlanSpec<'_>) -> ExecPlan {
+        Self::compile_with(tape, spec, None)
+    }
+
+    /// Compiles a batch-polymorphic plan: `record` is called at batch
+    /// `b0` and again at `b0 + 1`, and the compiler abstracts the batch
+    /// dimension from the pair, so one plan replays at every batch size.
+    /// The `b0` recording supplies every captured constant, so it must
+    /// run over real data; the `b0 + 1` one only lends its shapes (zero
+    /// proxies, e.g. [`Tensor::at_batch`], are fine). Degrades to a
+    /// mono-shape plan for `b0` when the graph is not batch-affine (see
+    /// [`ExecPlan::is_poly`]).
+    pub fn compile_poly(b0: usize, mut record: impl FnMut(usize) -> Recording) -> ExecPlan {
+        let primary = record(b0);
+        let second = record(b0 + 1);
+        let poly = PolySpec {
+            tape: &second.tape,
+            batch0: b0,
+        };
+        Self::compile_with(&primary.tape, &primary.spec(), Some(poly))
+    }
+
+    fn compile_with(tape: &Tape, spec: &PlanSpec<'_>, poly: Option<PolySpec<'_>>) -> ExecPlan {
         let nodes = tape.nodes.borrow();
         let n = match spec
             .root
@@ -490,7 +562,8 @@ impl ExecPlan {
         // --- Batch-polymorphic second recording (see [`PolySpec`]):
         // check the two recordings agree op-for-op, then fit the
         // per-dimension affine forms. `None` keeps the plan mono-shape.
-        let mut poly = spec.poly.as_ref().and_then(|p| poly_forms(&ops, &shapes, p));
+        let batch0 = poly.as_ref().map_or(0, |p| p.batch0);
+        let mut poly = poly.and_then(|p| poly_forms(&ops, &shapes, &p));
 
         // --- Sources: where does each node's value come from at replay?
         let mut source = vec![Source::Computed; n];
@@ -925,11 +998,9 @@ impl ExecPlan {
         }
 
         COMPILES.fetch_add(1, Ordering::Relaxed);
+        THREAD_COMPILES.with(|c| c.set(c.get() + 1));
         let (forms, base_batch) = match poly {
-            Some((_, forms)) => (
-                Some(forms),
-                spec.poly.as_ref().expect("poly accepted without a spec").batch0,
-            ),
+            Some((_, forms)) => (Some(forms), batch0),
             None => (None, 0),
         };
         ExecPlan {
@@ -978,12 +1049,9 @@ impl ExecPlan {
         self.root.is_some()
     }
 
-    /// Shapes the substituted inputs must have, in spec order.
-    pub fn input_shapes(&self) -> Vec<Vec<usize>> {
-        self.input_nodes
-            .iter()
-            .map(|&i| self.shapes[i].clone())
-            .collect()
+    /// Number of per-replay inputs the plan substitutes.
+    pub fn num_inputs(&self) -> usize {
+        self.input_nodes.len()
     }
 
     /// True when the plan was compiled batch-polymorphic: one compile
@@ -1811,6 +1879,210 @@ impl ExecPlan {
     }
 }
 
+// -------------------------------------------------------------- executor
+
+/// What a [`PlanExecutor`] call is doing, reported to the executor's span
+/// hook so callers can attribute the time (this crate sits below the
+/// tracing crate and opens no spans itself).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Recording the graph twice and compiling a plan.
+    Compile,
+    /// Replaying a compiled plan.
+    Replay,
+    /// Recording the graph on the tape interpreter (its forward pass).
+    Record,
+    /// The tape interpreter's backward pass.
+    Backward,
+}
+
+/// Loss and gradients of one training run, from whichever engine ran it.
+pub struct Trained {
+    /// Scalar loss value.
+    pub loss: f32,
+    /// Per-node gradients; feed them to [`ParamStore::accumulate_grads`]
+    /// together with `bindings`.
+    pub grads: Gradients,
+    /// `(ParamId, node index)` bindings of the graph that ran.
+    pub bindings: Vec<(ParamId, usize)>,
+}
+
+/// The one place that decides how a recorded graph runs: a bounded cache
+/// of compiled plans, most recently used first and keyed by
+/// [`ExecPlan::accepts`], in front of the tape interpreter.
+///
+/// With plans on (the default) a call replays the first cached plan that
+/// accepts its inputs; on a miss it compiles one through
+/// [`ExecPlan::compile_poly`] and evicts the least recently used plan
+/// past the cap. With plans off ([`set_plan`]`(false)` or `URCL_PLAN=0`)
+/// it runs the same recording function on the tape interpreter, the
+/// bitwise oracle the plan engine is pinned against. Callers never branch
+/// on the engine.
+///
+/// Plans are told apart by `accepts()` alone, so an executor must see
+/// only one graph per input signature. The executor is `Sync`: shard
+/// threads share a serving snapshot's executor, and its lock covers
+/// lookup and compile, never a replay.
+pub struct PlanExecutor<G = ()> {
+    plans: Mutex<Vec<Arc<ExecPlan>>>,
+    cap: usize,
+    span: fn(Phase) -> G,
+    gauges: bool,
+}
+
+impl<G> PlanExecutor<G> {
+    /// An empty executor holding at most `cap` plans. `span` is called
+    /// as each [`Phase`] begins; its guard is dropped when the phase ends.
+    pub fn new(cap: usize, span: fn(Phase) -> G) -> Self {
+        assert!(cap > 0, "a plan executor needs room for one plan");
+        Self {
+            plans: Mutex::new(Vec::new()),
+            cap,
+            span,
+            gauges: false,
+        }
+    }
+
+    /// Also reports this executor's size and evictions as the
+    /// `cache_entries` / `cache_evictions` gauges of [`plan_stats`] —
+    /// meant for the one cache those gauges describe (the trainer's).
+    pub fn with_cache_gauges(mut self) -> Self {
+        self.gauges = true;
+        self
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<ExecPlan>>> {
+        // Every update (insert, move to front, evict, clear) leaves the
+        // list valid, and a compile that panics inserts nothing, so a
+        // poisoned lock still guards a usable cache.
+        self.plans.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Number of cached plans.
+    pub fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// True when no plan is cached.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Drops every cached plan.
+    pub fn clear(&self) {
+        self.lock().clear();
+        if self.gauges {
+            note_plan_cache_entries(0);
+        }
+    }
+
+    /// Runs a forward graph over batch-led `inputs` and returns the
+    /// values of the recording's outputs.
+    pub fn forward(
+        &self,
+        store: &ParamStore,
+        inputs: &[&Tensor],
+        mut record: impl FnMut(usize) -> Recording,
+    ) -> Vec<Tensor> {
+        let batch = inputs[0].shape()[0];
+        match self.plan_for(batch, |_| inputs.to_vec(), &mut record) {
+            Some(plan) => {
+                let _sp = (self.span)(Phase::Replay);
+                plan.run_forward(store, inputs)
+            }
+            None => {
+                let _sp = (self.span)(Phase::Record);
+                let rec = record(batch);
+                rec.outputs.iter().map(|&o| rec.tape.value_at(o)).collect()
+            }
+        }
+    }
+
+    /// Compiles the plan a [`Self::forward`] over `inputs` would need, if
+    /// plans are on and no cached plan accepts them, so a caller timing
+    /// the forward pass keeps the one-time compile out of its clock.
+    pub fn prepare(&self, inputs: &[&Tensor], record: impl FnMut(usize) -> Recording) {
+        self.plan_for(inputs[0].shape()[0], |_| inputs.to_vec(), record);
+    }
+
+    /// Runs a training graph at `batch` and returns its loss and
+    /// gradients. `inputs(n)` lists the replay inputs for a plan with `n`
+    /// input slots; callers with a fixed slot count ignore `n`.
+    pub fn train<'a>(
+        &self,
+        store: &ParamStore,
+        batch: usize,
+        inputs: impl Fn(usize) -> Vec<&'a Tensor>,
+        mut record: impl FnMut(usize) -> Recording,
+    ) -> Trained {
+        if let Some(plan) = self.plan_for(batch, &inputs, &mut record) {
+            let refs = inputs(plan.num_inputs());
+            let _sp = (self.span)(Phase::Replay);
+            let (loss, grads) = plan.run_training(store, &refs);
+            return Trained {
+                loss: loss.item(),
+                grads,
+                bindings: plan.bindings.clone(),
+            };
+        }
+        let rec = {
+            let _sp = (self.span)(Phase::Record);
+            record(batch)
+        };
+        let root = rec.root.expect("training run of a recording without a root");
+        let loss = rec.tape.value_at(root).item();
+        let grads = {
+            let _sp = (self.span)(Phase::Backward);
+            rec.backward()
+        };
+        Trained {
+            loss,
+            grads,
+            bindings: rec.bindings,
+        }
+    }
+
+    /// The cached plan accepting `inputs(n)` (moved to the front), or a
+    /// freshly compiled one; `None` when plans are off.
+    fn plan_for<'a>(
+        &self,
+        batch: usize,
+        inputs: impl Fn(usize) -> Vec<&'a Tensor>,
+        record: impl FnMut(usize) -> Recording,
+    ) -> Option<Arc<ExecPlan>> {
+        if !plan_enabled() {
+            return None;
+        }
+        let mut plans = self.lock();
+        match plans
+            .iter()
+            .position(|p| p.accepts(&inputs(p.num_inputs())))
+        {
+            Some(i) => {
+                let plan = plans.remove(i);
+                plans.insert(0, plan);
+            }
+            None => {
+                let plan = {
+                    let _sp = (self.span)(Phase::Compile);
+                    ExecPlan::compile_poly(batch, record)
+                };
+                plans.insert(0, Arc::new(plan));
+                if plans.len() > self.cap {
+                    plans.pop();
+                    if self.gauges {
+                        note_plan_cache_eviction();
+                    }
+                }
+                if self.gauges {
+                    note_plan_cache_entries(plans.len() as u64);
+                }
+            }
+        }
+        Some(Arc::clone(&plans[0]))
+    }
+}
+
 /// Executes a fused unary elementwise run over `src`, producing a tensor
 /// of `out_shape`.
 /// True when a parallel region can actually run on more than one worker;
@@ -1899,11 +2171,6 @@ fn poly_forms(
     shapes: &[Vec<usize>],
     p: &PolySpec<'_>,
 ) -> Option<(Vec<Vec<usize>>, Vec<Vec<(usize, usize)>>)> {
-    assert_eq!(
-        p.batch1,
-        p.batch0 + 1,
-        "poly recordings must be at adjacent batch sizes"
-    );
     let nodes1 = p.tape.nodes.borrow();
     if nodes1.len() < ops.len() {
         return None;
@@ -1923,7 +2190,7 @@ fn poly_forms(
         }
         let mut f = Vec::with_capacity(s0.len());
         for (&d0, &d1) in s0.iter().zip(s1) {
-            // d = k + c·b fit through (batch0, d0) and (batch0+1, d1);
+            // d = k + c·b fit through (batch0, d0) and (batch0 + 1, d1);
             // shrinking or super-linear dims have no valid (k, c) ≥ 0.
             let c = d1.checked_sub(d0)?;
             let k = d0.checked_sub(c.checked_mul(p.batch0)?)?;
@@ -1990,8 +2257,7 @@ mod tests {
                     inputs: &[xv.index(), yv.index()],
                     outputs: &[],
                     bindings: &binds,
-                    poly: None,
-                },
+                    },
             )
         };
 
@@ -2032,7 +2298,6 @@ mod tests {
                 inputs: &[],
                 outputs: &[],
                 bindings: &binds,
-                poly: None,
             },
         );
         assert!(plan.dead_edges >= 1, "support edge should be dead");
@@ -2062,7 +2327,6 @@ mod tests {
                 inputs: &[xv.index()],
                 outputs: &[y.index()],
                 bindings: &[],
-                poly: None,
             },
         );
         assert!(plan.fused_stages >= 3, "chain of 4 should fuse 3 stages");
@@ -2102,7 +2366,6 @@ mod tests {
                 inputs: &[],
                 outputs: &[],
                 bindings: &binds,
-                poly: None,
             },
         );
         let (l0, g0) = plan.run_training(&store, &[]);
@@ -2123,40 +2386,30 @@ mod tests {
         let mut rng = Rng::seed_from_u64(21);
         let w = store.add("w", rng.uniform_tensor(&[3, 4], -1.0, 1.0));
         let b = store.add("b", rng.uniform_tensor(&[4], -1.0, 1.0));
-        let record = |store: &ParamStore, x: &Tensor, y: &Tensor| {
+        let x2 = rng.uniform_tensor(&[2, 3], -1.0, 1.0);
+        let y2 = rng.uniform_tensor(&[2, 4], -1.0, 1.0);
+        let compiles_before = thread_plan_compiles();
+        // Recorded at batches 2 and 3; only shapes matter at 3, so
+        // `at_batch` zero proxies are fine.
+        let plan = ExecPlan::compile_poly(2, |bsz| {
             let tape = Tape::new();
-            let mut sess = Session::new(&tape, store);
-            let xv = sess.input(x.clone());
-            let yv = sess.input(y.clone());
+            let mut sess = Session::new(&tape, &store);
+            let xv = sess.input(x2.at_batch(bsz));
+            let yv = sess.input(y2.at_batch(bsz));
             let wv = sess.param(w);
             let bv = sess.param(b);
             let pred = xv.matmul(wv).add(bv).tanh();
             let loss = pred.sub(yv).abs().mean_all();
-            let root = loss.index();
-            let inputs = vec![xv.index(), yv.index()];
-            let binds = sess.into_bindings();
-            (tape, inputs, binds, root)
-        };
-        let x2 = rng.uniform_tensor(&[2, 3], -1.0, 1.0);
-        let y2 = rng.uniform_tensor(&[2, 4], -1.0, 1.0);
-        let (t0, in0, binds0, root0) = record(&store, &x2, &y2);
-        // Second recording at batch 3; only shapes matter, zeros are fine.
-        let (t1, _, _, _) = record(&store, &Tensor::zeros(&[3, 3]), &Tensor::zeros(&[3, 4]));
-        let compiles_before = plan_stats().compiles;
-        let plan = ExecPlan::compile(
-            &t0,
-            &PlanSpec {
-                root: Some(root0),
-                inputs: &in0,
-                outputs: &[],
-                bindings: &binds0,
-                poly: Some(PolySpec {
-                    tape: &t1,
-                    batch0: 2,
-                    batch1: 3,
-                }),
-            },
-        );
+            let (root, inputs) = (Some(loss.index()), vec![xv.index(), yv.index()]);
+            let bindings = sess.into_bindings();
+            Recording {
+                tape,
+                root,
+                inputs,
+                outputs: vec![],
+                bindings,
+            }
+        });
         assert!(plan.is_poly());
         for bsz in [5usize, 2, 7, 3] {
             let x = rng.uniform_tensor(&[bsz, 3], -1.0, 1.0);
@@ -2183,7 +2436,7 @@ mod tests {
             }
         }
         assert_eq!(
-            plan_stats().compiles,
+            thread_plan_compiles(),
             compiles_before + 1,
             "batch churn must not recompile a poly plan"
         );
@@ -2201,36 +2454,24 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = Rng::seed_from_u64(22);
         let w = store.add("w", rng.uniform_tensor(&[3, 3], -1.0, 1.0));
-        let record = |store: &ParamStore, bsz: usize| {
+        let plan = ExecPlan::compile_poly(2, |bsz| {
             let tape = Tape::new();
-            let mut sess = Session::new(&tape, store);
-            let x = Tensor::zeros(&[bsz, 3]);
-            let xv = sess.input(x);
+            let mut sess = Session::new(&tape, &store);
+            let xv = sess.input(Tensor::zeros(&[bsz, 3]));
             let wv = sess.param(w);
             // Batch-dependent mask recorded as a plain captured constant.
             let mask = sess.input(Tensor::ones(&[bsz, 3]));
             let loss = xv.matmul(wv).mul(mask).mean_all();
-            let root = loss.index();
-            let inputs = vec![xv.index()];
-            let binds = sess.into_bindings();
-            (tape, inputs, binds, root)
-        };
-        let (t0, in0, binds0, root0) = record(&store, 2);
-        let (t1, _, _, _) = record(&store, 3);
-        let plan = ExecPlan::compile(
-            &t0,
-            &PlanSpec {
-                root: Some(root0),
-                inputs: &in0,
-                outputs: &[],
-                bindings: &binds0,
-                poly: Some(PolySpec {
-                    tape: &t1,
-                    batch0: 2,
-                    batch1: 3,
-                }),
-            },
-        );
+            let (root, inputs) = (Some(loss.index()), vec![xv.index()]);
+            let bindings = sess.into_bindings();
+            Recording {
+                tape,
+                root,
+                inputs,
+                outputs: vec![],
+                bindings,
+            }
+        });
         assert!(!plan.is_poly());
         assert!(plan.accepts(&[&Tensor::zeros(&[2, 3])]));
         assert!(!plan.accepts(&[&Tensor::zeros(&[3, 3])]));

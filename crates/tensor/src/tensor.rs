@@ -111,6 +111,19 @@ impl Tensor {
         }
     }
 
+    /// This tensor at batch size `b`: a clone when its leading dimension
+    /// already is `b`, otherwise zeros with the leading dimension set to
+    /// `b` — the shape proxy [`crate::ExecPlan::compile_poly`] records its
+    /// second pass over.
+    pub fn at_batch(&self, b: usize) -> Tensor {
+        if self.shape()[0] == b {
+            return self.clone();
+        }
+        let mut shape = self.shape().to_vec();
+        shape[0] = b;
+        Tensor::zeros(&shape)
+    }
+
     /// All-ones tensor.
     pub fn ones(shape: &[usize]) -> Self {
         Self::full(shape, 1.0)

@@ -26,7 +26,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use urcl_tensor::autodiff::{Session, Tape, Var};
 use urcl_tensor::{
     set_pool_poison, set_pooling, set_simd, set_threads, Adam, ExecPlan, Optimizer, ParamId,
-    ParamStore, PlanSpec, PolySpec, Rng, Tensor,
+    ParamStore, PlanSpec, Recording, Rng, Tensor,
 };
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -145,7 +145,6 @@ fn run_engine(
                 inputs: &[x.index()],
                 outputs: &[],
                 bindings: &binds,
-                poly: None,
             },
         );
         let fwd = ExecPlan::compile(
@@ -155,7 +154,6 @@ fn run_engine(
                 inputs: &[x.index()],
                 outputs: &[aux.index()],
                 bindings: &binds,
-                poly: None,
             },
         );
         Some((train, fwd))
@@ -342,54 +340,31 @@ fn run_masked(
     let mut out = Vec::new();
 
     let compiled = if use_plan {
-        let record = |x: &Tensor, m: &Tensor| {
-            let tape = Tape::new();
-            let (root, aux_idx, inputs, binds);
-            {
-                let mut sess = Session::new(&tape, &store);
-                let xv = sess.input(x.clone());
-                let mv = sess.input(m.clone());
-                let (loss, aux) = build_masked(&mut sess, params, &[xv, mv], &[]);
-                root = loss.index();
-                aux_idx = aux.index();
-                inputs = vec![xv.index(), mv.index()];
-                binds = sess.into_bindings();
-            }
-            (tape, root, aux_idx, inputs, binds)
-        };
         let (x0, m0) = &steps[0];
+        let record = |b: usize, train: bool| {
+            let tape = Tape::new();
+            let mut sess = Session::new(&tape, &store);
+            let xv = sess.input(x0.at_batch(b));
+            let mv = sess.input(m0.clone());
+            let (loss, aux) = build_masked(&mut sess, params, &[xv, mv], &[]);
+            let (root, outputs) = if train {
+                (Some(loss.index()), vec![])
+            } else {
+                (None, vec![aux.index()])
+            };
+            let inputs = vec![xv.index(), mv.index()];
+            let bindings = sess.into_bindings();
+            Recording {
+                tape,
+                root,
+                inputs,
+                outputs,
+                bindings,
+            }
+        };
         let b0 = x0.shape()[0];
-        let d = x0.shape()[1];
-        let (tape0, root, aux, inputs, binds) = record(x0, m0);
-        let (tape1, _, _, _, _) = record(&Tensor::zeros(&[b0 + 1, d]), m0);
-        let train = ExecPlan::compile(
-            &tape0,
-            &PlanSpec {
-                root: Some(root),
-                inputs: &inputs,
-                outputs: &[],
-                bindings: &binds,
-                poly: Some(PolySpec {
-                    tape: &tape1,
-                    batch0: b0,
-                    batch1: b0 + 1,
-                }),
-            },
-        );
-        let fwd = ExecPlan::compile(
-            &tape0,
-            &PlanSpec {
-                root: None,
-                inputs: &inputs,
-                outputs: &[aux],
-                bindings: &binds,
-                poly: Some(PolySpec {
-                    tape: &tape1,
-                    batch0: b0,
-                    batch1: b0 + 1,
-                }),
-            },
-        );
+        let train = ExecPlan::compile_poly(b0, |b| record(b, true));
+        let fwd = ExecPlan::compile_poly(b0, |b| record(b, false));
         assert!(
             train.is_poly() && fwd.is_poly(),
             "masked graph failed to compile batch-polymorphically"

@@ -95,7 +95,6 @@ fn run_engine(prog: &Prog, step_inputs: &[Vec<Tensor>], use_plan: bool) -> CaseO
                 inputs: &in_idx,
                 outputs: &[],
                 bindings: &binds,
-                poly: None,
             },
         );
         let fwd = ExecPlan::compile(
@@ -105,7 +104,6 @@ fn run_engine(prog: &Prog, step_inputs: &[Vec<Tensor>], use_plan: bool) -> CaseO
                 inputs: &in_idx,
                 outputs: &[aux_var.index()],
                 bindings: &binds,
-                poly: None,
             },
         );
         for (si, ins) in step_inputs.iter().enumerate() {

@@ -1,6 +1,6 @@
-//! Accumulating stopwatch, used by the trainer for the per-epoch timings
-//! in the efficiency study (Fig. 7). Lives here so timing utilities have
-//! one home; `urcl_core::timing` re-exports it for compatibility.
+//! Accumulating stopwatch, used by the trainer for the per-epoch and
+//! per-observation timings in the efficiency study (Fig. 7). Lives here
+//! so timing utilities have one home.
 
 use std::time::Instant;
 

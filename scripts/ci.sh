@@ -30,10 +30,10 @@ echo "== tests with SIMD fast kernels force-disabled (URCL_SIMD=0) =="
 # forced off so the baseline cannot rot unnoticed.
 URCL_SIMD=0 cargo test -q --offline -p urcl-tensor
 
-echo "== tests with the plan engine force-disabled (URCL_PLAN=0) =="
-# The tape interpreter is the bitwise reference the compiled-plan engine
-# is pinned against; run the kernel-owning crate's full suite with plans
-# forced off so the fallback path cannot rot unnoticed.
+echo "== tests with the interpreter oracle selected (URCL_PLAN=0) =="
+# The tape interpreter is the bitwise oracle the compiled-plan engine
+# is pinned against; run the kernel-owning crate's full suite with the
+# oracle selected so it cannot rot unnoticed.
 URCL_PLAN=0 cargo test -q --offline -p urcl-tensor
 
 echo "== plan parity + buffer-lifetime suites (release) =="
@@ -49,11 +49,9 @@ cargo test -q --offline --release -p urcl-tensor \
 echo "== augmented-SSL plan parity: engine duel + churn sweep (release) =="
 # Full tiny augmented run under both engines (bitwise period reports
 # and final params), then a record-vs-replay sweep churning draws,
-# batch sizes and architectures with compile-count assertions. Run
-# twice: plan engine on (default) and force-disabled, so the augmented
-# configuration keeps passing on the pure interpreter too.
+# batch sizes and architectures with compile-count assertions. Both
+# tests pin their engine in-process, so one pass covers both engines.
 timeout 600 cargo test -q --offline --release --test plan_ssl_parity
-URCL_PLAN=0 timeout 600 cargo test -q --offline --release --test plan_ssl_parity
 
 echo "== rustdoc (warnings are errors) =="
 # Catches broken intra-doc links and, via the per-crate

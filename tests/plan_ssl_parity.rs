@@ -18,14 +18,14 @@
 //! Lives in its own integration binary because the engine switch is
 //! process-global.
 
-use urcl::core::{Ablation, Augmentation, AugmentedView, ContinualTrainer, StSimSiam, TrainerConfig};
-use urcl::graph::{random_geometric, SupportSet};
-use urcl::models::{Backbone, GraphWaveNet, GwnConfig};
-use urcl::stdata::{stack_samples, Batch, ContinualSplit, DatasetConfig, Sample, SyntheticDataset};
-use urcl::tensor::autodiff::{Session, Tape};
-use urcl::tensor::{
-    plan_stats, set_plan, ExecPlan, ParamStore, PlanSpec, PolySpec, Rng, Tensor,
+use urcl::core::{
+    Ablation, Augmentation, AugmentedView, ContinualTrainer, SslTerm, StSimSiam, StepGraph,
+    TrainerConfig,
 };
+use urcl::graph::random_geometric;
+use urcl::models::{GraphWaveNet, GwnConfig};
+use urcl::stdata::{stack_samples, Batch, ContinualSplit, DatasetConfig, Sample, SyntheticDataset};
+use urcl::tensor::{set_plan, thread_plan_compiles, ExecPlan, ParamStore, Rng, Tensor};
 
 const SSL_WEIGHT: f32 = 0.05;
 const K_DIFFUSION: usize = 2;
@@ -162,125 +162,24 @@ fn make_batch(rng: &mut Rng, b: usize) -> Batch {
     stack_samples(&samples)
 }
 
-struct RecordedSsl {
-    tape: Tape,
-    root: usize,
-    inputs: Vec<usize>,
-    binds: Vec<(urcl::tensor::ParamId, usize)>,
-    view_slots: usize,
-}
-
-/// Records the augmented step graph and collects the promoted input
-/// slots in the trainer's binding order: `[x, y, x1, x2, eye, off_mask,
-/// view-1 supports…, view-2 supports…]`.
-fn record_ssl(
-    arch: &Arch,
-    x: &Tensor,
-    y: &Tensor,
-    v1: &AugmentedView,
-    v2: &AugmentedView,
-) -> RecordedSsl {
-    let tape = Tape::new();
-    let (root, inputs, binds, view_slots);
-    {
-        let mut sess = Session::new(&tape, &arch.store);
-        let xv = sess.input(x.clone());
-        let yv = sess.input(y.clone());
-        let x1 = sess.input(v1.x.clone());
-        let x2 = sess.input(v2.x.clone());
-        let mut ins = vec![xv.index(), yv.index(), x1.index(), x2.index()];
-        let task = arch.model.forward(&mut sess, xv).sub(yv).abs().mean_all();
-        let ssl = arch.simsiam.loss_from_vars(
-            &mut sess,
-            &arch.model,
-            x1,
-            v1.supports.as_ref(),
-            x2,
-            v2.supports.as_ref(),
-        );
-        let total = task.add(ssl.scale(SSL_WEIGHT));
-        ins.extend(sess.slot_nodes("ssl.eye"));
-        ins.extend(sess.slot_nodes("ssl.off_mask"));
-        let s1 = sess.slot_nodes_prefix("ssl.v1.");
-        let s2 = sess.slot_nodes_prefix("ssl.v2.");
-        assert_eq!(s1.len(), s2.len(), "view support slot counts differ");
-        view_slots = s1.len();
-        ins.extend(s1);
-        ins.extend(s2);
-        root = total.index();
-        inputs = ins;
-        binds = sess.into_bindings();
+/// The augmented step graph exactly as the URCL trainer records it:
+/// replay inputs `[x, y, x1, x2, eye, off_mask, view-1 supports…,
+/// view-2 supports…]`.
+fn ssl_graph<'a>(
+    arch: &'a Arch,
+    views: &'a (AugmentedView, AugmentedView),
+    masks: &'a (Tensor, Tensor),
+) -> StepGraph<'a> {
+    StepGraph {
+        backbone: &arch.model,
+        ssl: Some(SslTerm {
+            head: &arch.simsiam,
+            weight: SSL_WEIGHT,
+            views,
+            masks,
+        }),
+        ewc: None,
     }
-    RecordedSsl {
-        tape,
-        root,
-        inputs,
-        binds,
-        view_slots,
-    }
-}
-
-/// Compiles one batch-polymorphic plan for the architecture's augmented
-/// step (recorded at `b0` and over zero proxies at `b0 + 1`).
-fn compile_ssl(arch: &Arch, batch: &Batch, v1: &AugmentedView, v2: &AugmentedView) -> (ExecPlan, usize) {
-    let b0 = batch.x.shape()[0];
-    let rec0 = record_ssl(arch, &batch.x, &batch.y, v1, v2);
-    let mut xs = batch.x.shape().to_vec();
-    let mut ys = batch.y.shape().to_vec();
-    xs[0] = b0 + 1;
-    ys[0] = b0 + 1;
-    let rec1 = record_ssl(
-        arch,
-        &Tensor::zeros(&xs),
-        &Tensor::zeros(&ys),
-        &v1.shape_proxy(b0 + 1),
-        &v2.shape_proxy(b0 + 1),
-    );
-    let plan = ExecPlan::compile(
-        &rec0.tape,
-        &PlanSpec {
-            root: Some(rec0.root),
-            inputs: &rec0.inputs,
-            outputs: &[],
-            bindings: &rec0.binds,
-            poly: Some(PolySpec {
-                tape: &rec1.tape,
-                batch0: b0,
-                batch1: b0 + 1,
-            }),
-        },
-    );
-    (plan, rec0.view_slots)
-}
-
-/// Interpreter reference loss for one draw (no parameter update).
-fn interp_loss(arch: &Arch, batch: &Batch, v1: &AugmentedView, v2: &AugmentedView) -> f32 {
-    let rec = record_ssl(arch, &batch.x, &batch.y, v1, v2);
-    rec.tape.value_at(rec.root).item()
-}
-
-fn ssl_refs<'a>(
-    batch: &'a Batch,
-    v1: &'a AugmentedView,
-    v2: &'a AugmentedView,
-    eye: &'a Tensor,
-    off: &'a Tensor,
-    view_slots: usize,
-    template: Option<&'a SupportSet>,
-) -> Vec<&'a Tensor> {
-    let mut refs = vec![&batch.x, &batch.y, &v1.x, &v2.x, eye, off];
-    for v in [v1, v2] {
-        let set = v
-            .supports
-            .as_ref()
-            .or(template)
-            .expect("backbone exposes no support template");
-        let sup = set.all();
-        for j in 0..view_slots {
-            refs.push(sup[j % sup.len()]);
-        }
-    }
-    refs
 }
 
 #[test]
@@ -290,8 +189,8 @@ fn one_plan_per_arch_serves_every_draw_and_batch_size() {
     let archs = [make_arch(&net, 1, 7), make_arch(&net, 2, 11)];
 
     // Batch sizes churn around the recorded size 4; SSL batches of 1 are
-    // a structurally different graph and stay on the interpreter, so the
-    // poly sweep starts at 2.
+    // a structurally different graph with mono-shape plans of their own,
+    // so the poly sweep starts at 2.
     let sizes = [4usize, 3, 2, 5, 4];
     let batches: Vec<Batch> = sizes.iter().map(|&b| make_batch(&mut rng, b)).collect();
     let draws: Vec<(AugmentedView, AugmentedView)> = batches
@@ -305,43 +204,52 @@ fn one_plan_per_arch_serves_every_draw_and_batch_size() {
         })
         .collect();
 
-    let compiles_before = plan_stats().compiles;
-    let plans: Vec<(ExecPlan, usize)> = archs
+    // Compile one batch-polymorphic plan per architecture from the first
+    // (batch, draw) point.
+    let compiles_before = thread_plan_compiles();
+    let masks0 = StSimSiam::contrastive_masks(sizes[0]);
+    let plans: Vec<ExecPlan> = archs
         .iter()
-        .map(|arch| compile_ssl(arch, &batches[0], &draws[0].0, &draws[0].1))
+        .map(|arch| {
+            let graph = ssl_graph(arch, &draws[0], &masks0);
+            ExecPlan::compile_poly(sizes[0], |b| graph.record(&arch.store, &batches[0], b))
+        })
         .collect();
-    let compiled = plan_stats().compiles - compiles_before;
+    let compiled = thread_plan_compiles() - compiles_before;
     assert_eq!(compiled, 2, "expected one plan compile per architecture");
-    for (plan, _) in &plans {
-        assert!(plan.is_poly(), "augmented step failed to compile batch-polymorphically");
+    for plan in &plans {
+        assert!(
+            plan.is_poly(),
+            "augmented step failed to compile batch-polymorphically"
+        );
     }
 
     // Arch-churn sweep: alternate architectures per (batch, draw) point.
     // Every point must match the interpreter bitwise, through one plan
     // per architecture and zero further compiles.
-    for (i, (batch, (v1, v2))) in batches.iter().zip(&draws).enumerate() {
-        for (ai, arch) in archs.iter().enumerate() {
-            let (plan, view_slots) = &plans[ai];
-            let (eye, off) = StSimSiam::contrastive_masks(batch.x.shape()[0]);
-            let template = arch.model.support_template();
-            let refs = ssl_refs(batch, v1, v2, &eye, &off, *view_slots, template);
+    for (i, (batch, views)) in batches.iter().zip(&draws).enumerate() {
+        let masks = StSimSiam::contrastive_masks(batch.len());
+        for (ai, (arch, plan)) in archs.iter().zip(&plans).enumerate() {
+            let graph = ssl_graph(arch, views, &masks);
+            let refs = graph.inputs(batch, plan.num_inputs());
             assert!(
                 plan.accepts(&refs),
                 "arch {ai} plan rejected batch size {} at point {i}",
-                batch.x.shape()[0]
+                batch.len()
             );
             let (loss, _grads) = plan.run_training(&arch.store, &refs);
-            let reference = interp_loss(arch, batch, v1, v2);
+            let rec = graph.record(&arch.store, batch, batch.len());
+            let reference = rec.tape.value_at(rec.root.expect("training graph")).item();
             assert_eq!(
                 loss.item().to_bits(),
                 reference.to_bits(),
                 "arch {ai} point {i} (batch {}) replay diverged from interpreter",
-                batch.x.shape()[0]
+                batch.len()
             );
         }
     }
     assert_eq!(
-        plan_stats().compiles - compiles_before,
+        thread_plan_compiles() - compiles_before,
         2,
         "draw/batch churn forced a recompile"
     );
