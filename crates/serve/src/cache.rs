@@ -67,8 +67,12 @@ type Waiter = mpsc::Sender<Result<Forecast, ServeError>>;
 enum Slot {
     /// A completed forecast; hits clone it.
     Ready(Forecast),
-    /// A forward for this key is queued; these waiters get the result.
-    InFlight(Vec<Waiter>),
+    /// A forward for this key is being admitted (`admitted == false`) or
+    /// is queued; once queued, joined waiters get its result.
+    InFlight {
+        admitted: bool,
+        waiters: Vec<Waiter>,
+    },
 }
 
 struct Inner {
@@ -84,8 +88,12 @@ pub(crate) enum Lookup {
     /// Joined an identical in-flight request; nothing to enqueue.
     Joined,
     /// Registered a fresh in-flight entry; the caller must enqueue the
-    /// compute (or [`ResponseCache::abort`] on admission failure).
+    /// compute and report the outcome to [`ResponseCache::settle`].
     Registered,
+    /// An identical compute is still being admitted and may yet be shed,
+    /// so joining it could fail a request after its submit succeeded;
+    /// the caller enqueues its own compute without a cache key.
+    Uncached,
 }
 
 pub(crate) struct ResponseCache {
@@ -108,18 +116,44 @@ impl ResponseCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// One atomic step: hit, join, or register an in-flight entry.
+    /// One atomic step: hit, join an admitted in-flight entry, or
+    /// register a fresh one.
     pub(crate) fn lookup_or_register(&self, key: &CacheKey, waiter: &Waiter) -> Lookup {
         let mut inner = self.lock();
         match inner.map.get_mut(key) {
             Some(Slot::Ready(forecast)) => Lookup::Hit(forecast.clone()),
-            Some(Slot::InFlight(waiters)) => {
+            Some(Slot::InFlight {
+                admitted: true,
+                waiters,
+            }) => {
                 waiters.push(waiter.clone());
                 Lookup::Joined
             }
+            Some(Slot::InFlight {
+                admitted: false, ..
+            }) => Lookup::Uncached,
             None => {
-                inner.map.insert(key.clone(), Slot::InFlight(Vec::new()));
+                let slot = Slot::InFlight {
+                    admitted: false,
+                    waiters: Vec::new(),
+                };
+                inner.map.insert(key.clone(), slot);
                 Lookup::Registered
+            }
+        }
+    }
+
+    /// Records whether the compute for a registered key was admitted:
+    /// an admitted entry starts accepting joiners, a shed one is
+    /// withdrawn (it has no waiters — nothing joins before admission).
+    /// A no-op when the compute already fulfilled the key.
+    pub(crate) fn settle(&self, key: &CacheKey, admitted: bool) {
+        let mut inner = self.lock();
+        if let Some(Slot::InFlight { admitted: flag, .. }) = inner.map.get_mut(key) {
+            if admitted {
+                *flag = true;
+            } else {
+                inner.map.remove(key);
             }
         }
     }
@@ -131,7 +165,7 @@ impl ResponseCache {
     pub(crate) fn fulfill(&self, key: &CacheKey, result: &Result<Forecast, ServeError>) {
         let mut inner = self.lock();
         let waiters = match inner.map.remove(key) {
-            Some(Slot::InFlight(waiters)) => waiters,
+            Some(Slot::InFlight { waiters, .. }) => waiters,
             // A concurrent fulfill already completed this key; keep the
             // existing entry and don't double-count it in the FIFO.
             Some(ready @ Slot::Ready(_)) => {
@@ -159,18 +193,6 @@ impl ResponseCache {
         }
     }
 
-    /// Withdraws a registered key whose compute was never admitted
-    /// (shed or shutdown): joined waiters get the same typed error.
-    pub(crate) fn abort(&self, key: &CacheKey, err: &ServeError) {
-        let waiters = match self.lock().map.remove(key) {
-            Some(Slot::InFlight(waiters)) => waiters,
-            _ => Vec::new(),
-        };
-        for waiter in waiters {
-            let _ = waiter.send(Err(err.clone()));
-        }
-    }
-
     /// Drops every completed entry not from `generation` (after a
     /// hot-swap). In-flight entries survive — their carrying requests are
     /// already queued and will fulfill their waiters.
@@ -178,7 +200,7 @@ impl ResponseCache {
         let mut inner = self.lock();
         inner
             .map
-            .retain(|k, slot| k.generation == generation || matches!(slot, Slot::InFlight(_)));
+            .retain(|k, slot| k.generation == generation || matches!(slot, Slot::InFlight { .. }));
         let map = &inner.map;
         let retained: VecDeque<CacheKey> = inner
             .order

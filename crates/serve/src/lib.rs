@@ -6,8 +6,10 @@
 //!
 //! One process serves many dataset/model **tenants** (METR-LA, PEMS-BAY,
 //! PEMS04, PEMS08 analogues, …) concurrently through a [`Tenants`]
-//! registry; a single-model deployment uses the [`Server`] facade over
-//! the identical runtime. Each tenant owns:
+//! registry; a single-model deployment is a one-tenant registry. There is
+//! one way in: [`Tenants::add`] starts a tenant and returns its
+//! [`TenantClient`], which carries the whole request API (submit,
+//! predict, hot-swap, stats). Each tenant owns:
 //!
 //! * **Shards** — `N` independent request queues, each with its own
 //!   worker thread, mutex and condvar. The request path takes only the
@@ -26,7 +28,7 @@
 //!   swap atomically between batches via `Arc<`[`ModelSnapshot`]`>`.
 //!   Every batch captures the `Arc` once, so in-flight requests always
 //!   complete on the snapshot they started with; torn or unloadable
-//!   checkpoints fall back per tenant and never take the server down
+//!   checkpoints fall back per tenant and never take the registry down
 //!   (see DESIGN.md §10 and §13).
 //! * **Response cache** (optional, [`CachePolicy`]) — a forecaster is a
 //!   pure function of `(snapshot generation, window)`, so completed
@@ -52,34 +54,6 @@
 //! `p99`), and `serve.tenant.{name}.shard{i}.queue_depth` gauges.
 //! `bench_serve` (in `crates/bench`) sweeps threads × shards × tenants ×
 //! client counts over this runtime and writes `BENCH_serve.json`.
-//!
-//! ## Quick use (single tenant)
-//!
-//! ```no_run
-//! use std::time::Duration;
-//! use urcl_core::CheckpointDir;
-//! use urcl_models::{GraphWaveNet, GwnConfig};
-//! use urcl_serve::{ServeConfig, Server};
-//! use urcl_tensor::{ParamStore, Rng, Tensor};
-//!
-//! // Rebuild the *architecture* the trainer used (weights come from disk).
-//! let mut template = ParamStore::new();
-//! let mut rng = Rng::seed_from_u64(0);
-//! let network = urcl_graph::random_geometric(24, 0.3, &mut rng);
-//! let model = GraphWaveNet::new(&mut template, &mut rng, &network,
-//!     GwnConfig::small(24, 2, 12, 1));
-//!
-//! let config = ServeConfig {
-//!     reload_interval: Some(Duration::from_millis(500)), // follow the trainer
-//!     ..ServeConfig::default()
-//! };
-//! let server = Server::start(model, template,
-//!     CheckpointDir::new("ckpts").unwrap(), config);
-//! let window = Tensor::zeros(&[12, 24, 2]); // [M, N, C], physical units
-//! let forecast = server.predict(&window).unwrap();
-//! println!("horizon forecast {:?} from snapshot generation {}",
-//!     forecast.prediction.shape(), forecast.generation);
-//! ```
 //!
 //! ## Multi-tenant
 //!
@@ -128,9 +102,6 @@ mod tenant;
 
 pub use cache::CachePolicy;
 pub use http::{HttpConfig, HttpServer, HttpStats};
-pub use server::{
-    forward_batch, BatchPolicy, Forecast, PendingForecast, ServeConfig, ServeError, Server,
-    ServerStats,
-};
+pub use server::{forward_batch, BatchPolicy, Forecast, PendingForecast, ServeConfig, ServeError};
 pub use snapshot::ModelSnapshot;
 pub use tenant::{TenantClient, TenantStats, Tenants};

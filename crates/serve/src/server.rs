@@ -1,22 +1,17 @@
-//! Shared serving types, the single-tenant [`Server`] facade, and the
-//! batched forward pass.
+//! Shared serving types and the batched forward pass.
 //!
 //! The runtime itself (shards, workers, admission control, hot-swap) lives
-//! in [`crate::tenant`]; `Server` is a one-tenant convenience wrapper over
-//! the same machinery, so a single-model deployment and a [`crate::Tenants`]
-//! registry exercise identical code paths.
+//! in [`crate::tenant`]; a single-model deployment is a one-tenant
+//! [`crate::Tenants`] registry.
 
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::Duration;
 
-use urcl_core::persist::CheckpointDir;
 use urcl_models::Backbone;
-use urcl_tensor::{ParamStore, Tensor};
+use urcl_tensor::Tensor;
 
 use crate::cache::CachePolicy;
 use crate::snapshot::ModelSnapshot;
-use crate::tenant::{TenantClient, TenantRuntime, TenantStats};
 
 /// Request-coalescing policy.
 ///
@@ -53,9 +48,10 @@ pub struct ServeConfig {
     pub target_channel: usize,
     /// When set, a background thread polls the checkpoint directory at
     /// this interval and hot-swaps the snapshot whenever the trainer has
-    /// published a new checkpoint ([`CheckpointDir::fingerprint`] makes
-    /// the no-change case a single `stat` call). `None` leaves reloads to
-    /// explicit [`Server::reload_now`] calls.
+    /// published a new checkpoint
+    /// ([`urcl_core::CheckpointDir::fingerprint`] makes the no-change case
+    /// a single `stat` call). `None` leaves reloads to explicit
+    /// [`TenantClient::reload_now`](crate::TenantClient::reload_now) calls.
     pub reload_interval: Option<Duration>,
     /// Number of independent shards (queue + worker thread each). Requests
     /// are routed round-robin; shards never share a lock, so on multi-core
@@ -71,12 +67,6 @@ pub struct ServeConfig {
     /// forecaster is a pure function of those — and identical concurrent
     /// requests share one forward. `None` (the default) disables caching.
     pub cache: Option<CachePolicy>,
-    /// Use the fast `tanh` kernel (exp-identity, ≤ 5e-7 absolute error)
-    /// for forwards on this tenant. Off by default so serving stays
-    /// bitwise identical to the trainer's own evaluation; benchmarks and
-    /// throughput-first deployments opt in. Scoped to the serving
-    /// forwards — training in the same process is never affected.
-    pub fast_activations: bool,
     /// Cross-shard work stealing (on by default): a shard worker whose
     /// own queue is empty drains up to `max_batch` of the oldest requests
     /// from a hot sibling's queue and runs them as its own batch, instead
@@ -97,7 +87,6 @@ impl Default for ServeConfig {
             shards: urcl_tensor::host_parallelism(),
             queue_bound: 1024,
             cache: None,
-            fast_activations: false,
             steal: true,
         }
     }
@@ -189,110 +178,6 @@ impl PendingForecast {
     }
 }
 
-/// Point-in-time serving statistics — for a single-tenant [`Server`]
-/// these are the counters of its one tenant.
-pub type ServerStats = TenantStats;
-
-/// A sharded, batched inference server over one [`Backbone`] — the
-/// single-tenant facade over the same runtime [`crate::Tenants`] uses.
-///
-/// The server owns `shards` worker threads that drain per-shard request
-/// queues under the [`BatchPolicy`], and (optionally) a reload thread
-/// that follows a trainer's [`CheckpointDir`]. Dropping the server shuts
-/// everything down gracefully: queued requests are completed first, and
-/// later [`Server::submit`] calls fail with [`ServeError::ShuttingDown`].
-pub struct Server {
-    // Field order is drop order: the runtime must drain before the
-    // client handle goes away (either order is safe; this one is tidy).
-    runtime: TenantRuntime,
-    client: TenantClient,
-}
-
-impl Server {
-    /// Starts the server.
-    ///
-    /// `model` is the backbone *architecture* — its weights are ignored;
-    /// every forward pass reads parameters from the current snapshot.
-    /// `template` is the [`ParamStore`] the model was constructed
-    /// against; it defines the layout checkpoints must match. If `source`
-    /// already holds a loadable checkpoint it becomes the initial
-    /// snapshot; otherwise the server starts empty and answers
-    /// [`ServeError::NoSnapshot`] until a reload succeeds.
-    pub fn start(
-        model: impl Backbone + Send + Sync + 'static,
-        template: ParamStore,
-        source: CheckpointDir,
-        config: ServeConfig,
-    ) -> Self {
-        let runtime = TenantRuntime::start("default", Box::new(model), template, source, config);
-        let client = runtime.client();
-        Self { runtime, client }
-    }
-
-    /// A cheap clonable handle for submitting from other threads without
-    /// borrowing the server.
-    pub fn client(&self) -> TenantClient {
-        self.runtime.client()
-    }
-
-    /// Enqueues one `[M, N, C]` physical-unit window and returns a reply
-    /// handle. The window's geometry is validated eagerly; normalization
-    /// happens inside the batch, with the snapshot that serves it.
-    pub fn submit(&self, window: Tensor) -> Result<PendingForecast, ServeError> {
-        self.client.submit(window)
-    }
-
-    /// Submits one window and blocks for its forecast.
-    pub fn predict(&self, window: &Tensor) -> Result<Forecast, ServeError> {
-        self.client.predict(window)
-    }
-
-    /// Submits a whole burst at once and blocks for every forecast, in
-    /// order. Bursts larger than the policy's `max_batch` are simply
-    /// split across consecutive batches by the workers.
-    pub fn predict_many(&self, windows: &[Tensor]) -> Result<Vec<Forecast>, ServeError> {
-        self.client.predict_many(windows)
-    }
-
-    /// Checks the checkpoint directory and hot-swaps the snapshot if the
-    /// trainer has published a new checkpoint since the last reload.
-    /// Returns `true` when a swap happened, `false` when the fingerprint
-    /// was unchanged. In-flight batches finish on the old snapshot; the
-    /// swap takes effect from the next batch. On failure the old snapshot
-    /// keeps serving and the error is returned.
-    pub fn reload_now(&self) -> Result<bool, ServeError> {
-        self.client.reload_now()
-    }
-
-    /// Whether a snapshot is currently loaded.
-    pub fn has_snapshot(&self) -> bool {
-        self.client.has_snapshot()
-    }
-
-    /// The currently serving snapshot (if any). The returned `Arc` stays
-    /// valid across hot-swaps — exactly the guarantee in-flight batches
-    /// rely on.
-    pub fn snapshot(&self) -> Option<Arc<ModelSnapshot>> {
-        self.client.snapshot()
-    }
-
-    /// Generation of the current snapshot, or `None` before the first
-    /// successful load.
-    pub fn generation(&self) -> Option<u64> {
-        self.client.generation()
-    }
-
-    /// Point-in-time counters (requests, sheds, batches, swaps, cache).
-    pub fn stats(&self) -> ServerStats {
-        self.client.stats()
-    }
-
-    /// The model geometry requests must match (`[M, N, C]` windows).
-    pub fn input_shape(&self) -> [usize; 3] {
-        self.client.input_shape()
-    }
-}
-
 /// Forward-only inference for a batch of raw `[M, N, C]` physical-unit
 /// windows on one snapshot: normalize, stack into `[B, M, N, C]`, run one
 /// forward pass, split into per-window `[H, N]` forecasts and denormalize
@@ -307,12 +192,8 @@ impl Server {
 /// The forward pass goes through the snapshot's plan executor
 /// ([`ModelSnapshot::forward`]): it replays a compiled batch-polymorphic
 /// plan, or re-records a tape when `URCL_PLAN=0` selects the interpreter
-/// oracle. Both give identical bits — pinned by the hot-swap suite.
-///
-/// Activation kernels follow the calling thread's
-/// [`urcl_tensor::FastActGuard`] state at replay (or record) time, so a
-/// reference forward for a [`ServeConfig::fast_activations`] tenant
-/// reproduces the server bit for bit by wrapping this call in a guard.
+/// oracle. Both give identical bits — pinned by the hot-swap suite — and
+/// both match the trainer's own evaluation forward bit for bit.
 pub fn forward_batch<B: Backbone + ?Sized>(
     model: &B,
     snapshot: &ModelSnapshot,

@@ -95,7 +95,6 @@ pub(crate) struct Shard {
 
 impl Shard {
     pub(crate) fn new(bound: usize) -> Self {
-        assert!(bound > 0, "queue bound must be positive");
         Self {
             state: Mutex::new(ShardState {
                 queue: VecDeque::new(),

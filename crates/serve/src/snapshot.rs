@@ -78,12 +78,6 @@ impl ModelSnapshot {
     /// through the snapshot's plan executor: the first batch compiles a
     /// batch-polymorphic plan every later batch size replays, or — under
     /// `URCL_PLAN=0` — each batch re-records on the interpreter.
-    ///
-    /// Activation-kernel selection (see [`urcl_tensor::FastActGuard`])
-    /// happens at *replay* time on the calling thread, exactly as the
-    /// interpreter selects at record time, so one cached plan serves
-    /// fast- and exact-activation callers with the same bits each would
-    /// get from a fresh tape.
     pub fn forward<B: Backbone + ?Sized>(&self, model: &B, x: &Tensor) -> Tensor {
         self.plans
             .forward(&self.store, &[x], |b| {

@@ -164,7 +164,7 @@ impl TenantCore {
         let (tx, rx) = mpsc::channel();
         let traced = urcl_trace::enabled();
 
-        // Cache fast path: hit, join an identical in-flight forward, or
+        // Cache fast path: hit, join an identical admitted forward, or
         // register a fresh entry the queued compute will fulfill.
         let mut cache_key = None;
         if let Some(cache) = &self.cache {
@@ -198,9 +198,28 @@ impl TenantCore {
                     }
                     cache_key = Some(key);
                 }
+                Lookup::Uncached => {}
             }
         }
 
+        let pending = Pending {
+            window,
+            enqueued: Instant::now(),
+            tx,
+            cache_key: cache_key.clone(),
+        };
+        let admitted = self.admit(pending, route);
+        if let (Some(cache), Some(key)) = (&self.cache, &cache_key) {
+            cache.settle(key, admitted.is_ok());
+        }
+        admitted.map(|()| PendingForecast::new(rx))
+    }
+
+    /// Enqueues one request on a shard, or fails with the typed
+    /// [`ServeError::Shed`] (some shard open but full) or
+    /// [`ServeError::ShuttingDown`] (every probed shard draining).
+    fn admit(&self, mut pending: Pending, route: Route) -> Result<(), ServeError> {
+        let traced = urcl_trace::enabled();
         // Route: either a full sweep from the round-robin cursor, or a
         // single strict-affinity probe. Each shard's drain flag and depth
         // bound are checked under that shard's own lock — there is no
@@ -212,12 +231,6 @@ impl TenantCore {
             // keyed shard sheds even while siblings have room — work
             // stealing, not the submit path, is what rebalances it.
             Route::Affine(key) => ((key % n as u64) as usize, 1),
-        };
-        let mut pending = Pending {
-            window,
-            enqueued: Instant::now(),
-            tx,
-            cache_key: cache_key.clone(),
         };
         let mut any_open = false;
         let mut fullest = 0usize;
@@ -234,7 +247,7 @@ impl TenantCore {
                             depth as f64,
                         );
                     }
-                    return Ok(PendingForecast::new(rx));
+                    return Ok(());
                 }
                 Err(Rejected::Full(p, depth)) => {
                     pending = p;
@@ -244,23 +257,18 @@ impl TenantCore {
                 Err(Rejected::Draining(p)) => pending = p,
             }
         }
-        let err = if any_open {
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            if traced {
-                urcl_trace::counter_inc("serve.shed");
-                urcl_trace::counter_inc(&format!("serve.tenant.{}.shed", self.name));
-            }
-            ServeError::Shed {
-                tenant: self.name.clone(),
-                depth: fullest,
-            }
-        } else {
-            ServeError::ShuttingDown
-        };
-        if let (Some(cache), Some(key)) = (&self.cache, &cache_key) {
-            cache.abort(key, &err);
+        if !any_open {
+            return Err(ServeError::ShuttingDown);
         }
-        Err(err)
+        self.stats.shed.fetch_add(1, Ordering::Relaxed);
+        if traced {
+            urcl_trace::counter_inc("serve.shed");
+            urcl_trace::counter_inc(&format!("serve.tenant.{}.shed", self.name));
+        }
+        Err(ServeError::Shed {
+            tenant: self.name.clone(),
+            depth: fullest,
+        })
     }
 
     fn reload(&self, force: bool) -> Result<bool, ServeError> {
@@ -475,10 +483,6 @@ fn run_batch(core: &TenantCore, batch: Vec<Pending>) {
         windows.push(pending.window);
         replies.push((pending.enqueued, pending.tx, pending.cache_key));
     }
-    let _fast = core
-        .config
-        .fast_activations
-        .then(urcl_tensor::FastActGuard::enable);
     let predictions = forward_batch(
         core.model.as_ref(),
         &snapshot,
@@ -532,8 +536,9 @@ impl TenantClient {
         &self.core.name
     }
 
-    /// Enqueues one `[M, N, C]` physical-unit window; see
-    /// [`crate::Server::submit`].
+    /// Enqueues one `[M, N, C]` physical-unit window and returns a reply
+    /// handle. The window's geometry is validated eagerly; normalization
+    /// happens inside the batch, with the snapshot that serves it.
     pub fn submit(&self, window: Tensor) -> Result<PendingForecast, ServeError> {
         self.core.submit(window, Route::Sweep)
     }
@@ -566,7 +571,9 @@ impl TenantClient {
         self.submit(window.clone())?.wait()
     }
 
-    /// Submits a burst and blocks for every forecast, in order.
+    /// Submits a whole burst at once and blocks for every forecast, in
+    /// order. Bursts larger than the policy's `max_batch` are split across
+    /// consecutive batches by the workers.
     pub fn predict_many(&self, windows: &[Tensor]) -> Result<Vec<Forecast>, ServeError> {
         let handles: Vec<PendingForecast> = windows
             .iter()
@@ -575,8 +582,12 @@ impl TenantClient {
         handles.into_iter().map(PendingForecast::wait).collect()
     }
 
-    /// Hot-swaps this tenant's snapshot if its trainer published a new
-    /// checkpoint; see [`crate::Server::reload_now`].
+    /// Checks the tenant's checkpoint directory and hot-swaps the
+    /// snapshot if its trainer has published a new checkpoint since the
+    /// last reload. Returns `true` when a swap happened, `false` when the
+    /// fingerprint was unchanged. In-flight batches finish on the old
+    /// snapshot; the swap takes effect from the next batch. On failure the
+    /// old snapshot keeps serving and the error is returned.
     pub fn reload_now(&self) -> Result<bool, ServeError> {
         self.core.reload(false)
     }
@@ -597,7 +608,7 @@ impl TenantClient {
         lock(&self.core.snapshot).as_ref().map(|s| s.generation())
     }
 
-    /// Point-in-time counters.
+    /// Point-in-time counters (requests, sheds, batches, swaps, cache).
     pub fn stats(&self) -> TenantStats {
         self.core.stats()
     }
@@ -632,22 +643,21 @@ impl TenantClient {
 /// One running tenant: the core plus its worker/reloader threads.
 /// Dropping it drains every shard (queued requests are answered first)
 /// and joins all threads.
-pub(crate) struct TenantRuntime {
+struct TenantRuntime {
     core: Arc<TenantCore>,
     workers: Vec<JoinHandle<()>>,
     reloader: Option<JoinHandle<()>>,
 }
 
 impl TenantRuntime {
-    pub(crate) fn start(
+    /// Starts a tenant whose `config` already passed [`validate`].
+    fn start(
         name: &str,
         model: Box<dyn Backbone + Send + Sync>,
         template: ParamStore,
         source: CheckpointDir,
         config: ServeConfig,
     ) -> Self {
-        assert!(config.policy.max_batch > 0, "max_batch must be positive");
-        assert!(config.shards > 0, "shards must be positive");
         let core = Arc::new(TenantCore {
             name: name.to_string(),
             model,
@@ -691,14 +701,15 @@ impl TenantRuntime {
         }
     }
 
-    pub(crate) fn client(&self) -> TenantClient {
+    fn client(&self) -> TenantClient {
         TenantClient {
             core: Arc::clone(&self.core),
         }
     }
+}
 
-    /// Drains every shard and joins all threads (idempotent).
-    pub(crate) fn shutdown(&mut self) {
+impl Drop for TenantRuntime {
+    fn drop(&mut self) {
         self.core.stopping.store(true, Ordering::Release);
         for shard in &self.core.shards {
             shard.drain();
@@ -712,22 +723,35 @@ impl TenantRuntime {
     }
 }
 
-impl Drop for TenantRuntime {
-    fn drop(&mut self) {
-        self.shutdown();
+/// Rejects configurations the runtime cannot start with: no batch slot,
+/// no shard, or a queue that admits nothing.
+fn validate(config: &ServeConfig) -> Result<(), ServeError> {
+    for (field, value) in [
+        ("policy.max_batch", config.policy.max_batch),
+        ("shards", config.shards),
+        ("queue_bound", config.queue_bound),
+    ] {
+        if value == 0 {
+            return Err(ServeError::BadRequest(format!(
+                "ServeConfig::{field} must be positive"
+            )));
+        }
     }
+    Ok(())
 }
 
 /// The multi-tenant registry: named tenants, each with its own shards,
 /// snapshot, checkpoint source and (optional) cache.
 ///
-/// The registry lock is only taken to add/remove/look up tenants —
-/// never on the request path of a [`TenantClient`], which holds its
-/// tenant directly. [`Tenants::predict`]-style convenience methods take
-/// one brief read lock to resolve the name.
+/// This is the one way to serve: a single-model deployment is a
+/// one-tenant registry. [`Tenants::add`] returns the tenant's
+/// [`TenantClient`], which carries the whole request API; the registry
+/// lock is only taken to add/remove/look up tenants — never on the
+/// request path of a client, which holds its tenant directly.
 ///
 /// Dropping the registry drains every tenant: queued requests are
-/// answered, later submits fail with [`ServeError::ShuttingDown`].
+/// answered, later submits through surviving clients fail with
+/// [`ServeError::ShuttingDown`].
 #[derive(Default)]
 pub struct Tenants {
     map: RwLock<BTreeMap<String, TenantRuntime>>,
@@ -739,11 +763,19 @@ impl Tenants {
         Self::default()
     }
 
-    /// Registers and starts a tenant. `model` is the backbone
-    /// *architecture* (weights come from `source` checkpoints) and
-    /// `template` the parameter layout they must match, exactly as in
-    /// [`crate::Server::start`]. Fails with [`ServeError::TenantExists`]
-    /// if the name is taken.
+    /// Registers and starts a tenant, returning its request handle.
+    ///
+    /// `model` is the backbone *architecture* — its weights are ignored;
+    /// every forward pass reads parameters from the current snapshot.
+    /// `template` is the [`ParamStore`] the model was constructed
+    /// against; it defines the layout checkpoints must match. If `source`
+    /// already holds a loadable checkpoint it becomes the initial
+    /// snapshot; otherwise the tenant starts empty and answers
+    /// [`ServeError::NoSnapshot`] until a reload succeeds.
+    ///
+    /// Fails with [`ServeError::BadRequest`] if `config` has a zero
+    /// `policy.max_batch`, `shards` or `queue_bound`, and with
+    /// [`ServeError::TenantExists`] if the name is taken.
     pub fn add(
         &self,
         name: &str,
@@ -752,6 +784,7 @@ impl Tenants {
         source: CheckpointDir,
         config: ServeConfig,
     ) -> Result<TenantClient, ServeError> {
+        validate(&config)?;
         let mut map = self.map.write().unwrap_or_else(|e| e.into_inner());
         if map.contains_key(name) {
             return Err(ServeError::TenantExists(name.to_string()));
@@ -784,48 +817,6 @@ impl Tenants {
             .get(name)
             .map(TenantRuntime::client)
             .ok_or_else(|| ServeError::UnknownTenant(name.to_string()))
-    }
-
-    /// Enqueues one window for `tenant`.
-    pub fn submit(&self, tenant: &str, window: Tensor) -> Result<PendingForecast, ServeError> {
-        self.client(tenant)?.submit(window)
-    }
-
-    /// Submits one window to `tenant` and blocks for the forecast.
-    pub fn predict(&self, tenant: &str, window: &Tensor) -> Result<Forecast, ServeError> {
-        self.client(tenant)?.predict(window)
-    }
-
-    /// Submits a burst to `tenant` and blocks for every forecast.
-    pub fn predict_many(
-        &self,
-        tenant: &str,
-        windows: &[Tensor],
-    ) -> Result<Vec<Forecast>, ServeError> {
-        self.client(tenant)?.predict_many(windows)
-    }
-
-    /// Hot-swaps one tenant's snapshot from its checkpoint directory.
-    pub fn reload_now(&self, tenant: &str) -> Result<bool, ServeError> {
-        self.client(tenant)?.reload_now()
-    }
-
-    /// Checks every tenant's checkpoint directory; returns how many
-    /// tenants swapped.
-    pub fn reload_all(&self) -> usize {
-        let clients: Vec<TenantClient> = {
-            let map = self.map.read().unwrap_or_else(|e| e.into_inner());
-            map.values().map(TenantRuntime::client).collect()
-        };
-        clients
-            .iter()
-            .filter(|c| matches!(c.reload_now(), Ok(true)))
-            .count()
-    }
-
-    /// Counters for one tenant.
-    pub fn stats(&self, tenant: &str) -> Result<TenantStats, ServeError> {
-        Ok(self.client(tenant)?.stats())
     }
 
     /// Field-wise sum of every tenant's counters.

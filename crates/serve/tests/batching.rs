@@ -2,11 +2,12 @@
 //! empty-queue idling, bursts larger than `max_batch`, bitwise
 //! batched-vs-single forwards, and snapshot hot-swap during a drain.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use urcl_core::{CheckpointDir, TrainerConfig, UrclPipeline};
-use urcl_serve::{forward_batch, BatchPolicy, ModelSnapshot, ServeConfig, ServeError, Server};
+use urcl_serve::{
+    forward_batch, BatchPolicy, ModelSnapshot, ServeConfig, ServeError, TenantClient, Tenants,
+};
 use urcl_stdata::{DatasetConfig, SyntheticDataset};
 use urcl_tensor::Tensor;
 
@@ -53,25 +54,32 @@ impl Fixture {
         }
     }
 
-    fn server(&self, policy: BatchPolicy) -> Server {
+    /// A one-tenant registry over this fixture's checkpoints, plus the
+    /// tenant's client. Dropping the registry drains the tenant.
+    fn server(&self, policy: BatchPolicy) -> (Tenants, TenantClient) {
         let (model, template) = UrclPipeline::serving_parts(
             &self.ds.network,
             &self.ds.config,
             &TrainerConfig::default(),
         );
-        Server::start(
-            model,
-            template,
-            CheckpointDir::new(&self.dir_path).unwrap(),
-            ServeConfig {
-                policy,
-                target_channel: self.ds.config.target_channel,
-                // One shard: these tests pin per-shard coalescing
-                // behaviour (burst splits, full-batch fusion).
-                shards: 1,
-                ..ServeConfig::default()
-            },
-        )
+        let registry = Tenants::new();
+        let client = registry
+            .add(
+                "default",
+                model,
+                template,
+                CheckpointDir::new(&self.dir_path).unwrap(),
+                ServeConfig {
+                    policy,
+                    target_channel: self.ds.config.target_channel,
+                    // One shard: these tests pin per-shard coalescing
+                    // behaviour (burst splits, full-batch fusion).
+                    shards: 1,
+                    ..ServeConfig::default()
+                },
+            )
+            .expect("valid config");
+        (registry, client)
     }
 }
 
@@ -94,7 +102,7 @@ fn assert_bitwise_eq(a: &Tensor, b: &Tensor, ctx: &str) {
 #[test]
 fn empty_queue_idles_and_serves_late_request() {
     let fx = Fixture::new("idle", 1);
-    let server = fx.server(BatchPolicy {
+    let (registry, server) = fx.server(BatchPolicy {
         max_batch: 4,
         max_delay: Duration::from_millis(1),
     });
@@ -106,7 +114,7 @@ fn empty_queue_idles_and_serves_late_request() {
         &[fx.ds.config.output_steps, fx.ds.config.num_nodes]
     );
     assert_eq!(server.stats().batches, 1);
-    drop(server); // clean shutdown with an empty queue must not hang
+    drop(registry); // clean shutdown with an empty queue must not hang
 }
 
 /// A burst larger than `max_batch` splits across consecutive batches; no
@@ -115,7 +123,7 @@ fn empty_queue_idles_and_serves_late_request() {
 fn burst_larger_than_max_batch_splits() {
     let fx = Fixture::new("burst", 2);
     let max_batch = 4;
-    let server = fx.server(BatchPolicy {
+    let (_registry, server) = fx.server(BatchPolicy {
         max_batch,
         max_delay: Duration::from_millis(20),
     });
@@ -175,7 +183,7 @@ fn batched_forward_is_bitwise_equal_to_single_forwards() {
 fn server_coalesces_full_batch_bitwise_equal_to_singles() {
     let fx = Fixture::new("coalesce", 4);
     let n = 6;
-    let server = fx.server(BatchPolicy {
+    let (_registry, server) = fx.server(BatchPolicy {
         max_batch: n,
         max_delay: Duration::from_millis(500),
     });
@@ -200,10 +208,10 @@ fn server_coalesces_full_batch_bitwise_equal_to_singles() {
 fn swap_during_drain_serves_consistent_snapshots() {
     let fx_a = Fixture::new("swap-a", 5);
     let fx_b = Fixture::new("swap-b", 6); // same arch, different weights
-    let server = Arc::new(fx_a.server(BatchPolicy {
+    let (_registry, server) = fx_a.server(BatchPolicy {
         max_batch: 3,
         max_delay: Duration::from_millis(1),
-    }));
+    });
 
     // Reference forecasts per checkpoint, computed on the pure path.
     let (model, template) = UrclPipeline::serving_parts(
@@ -222,7 +230,7 @@ fn swap_during_drain_serves_consistent_snapshots() {
 
     let workers: Vec<_> = (0..4)
         .map(|w| {
-            let server = Arc::clone(&server);
+            let server = server.clone();
             let windows = windows.clone();
             let ref_a = ref_a.clone();
             let ref_b = ref_b.clone();
@@ -269,7 +277,7 @@ fn swap_during_drain_serves_consistent_snapshots() {
 fn captured_snapshot_survives_hot_swap() {
     let fx_a = Fixture::new("inflight-a", 7);
     let fx_b = Fixture::new("inflight-b", 8);
-    let server = fx_a.server(BatchPolicy::default());
+    let (_registry, server) = fx_a.server(BatchPolicy::default());
     let (model, _template) = UrclPipeline::serving_parts(
         &fx_a.ds.network,
         &fx_a.ds.config,
@@ -300,7 +308,7 @@ fn captured_snapshot_survives_hot_swap() {
 #[test]
 fn bad_requests_and_empty_directories_are_typed_errors() {
     let fx = Fixture::new("errors", 9);
-    let server = fx.server(BatchPolicy::default());
+    let (_registry, server) = fx.server(BatchPolicy::default());
 
     let wrong = Tensor::zeros(&[1, 2, 3]);
     assert!(matches!(
@@ -320,12 +328,16 @@ fn bad_requests_and_empty_directories_are_typed_errors() {
         &fx.ds.config,
         &TrainerConfig::default(),
     );
-    let empty = Server::start(
-        model,
-        template,
-        CheckpointDir::new(&empty_path).unwrap(),
-        ServeConfig::default(),
-    );
+    let empty_registry = Tenants::new();
+    let empty = empty_registry
+        .add(
+            "empty",
+            model,
+            template,
+            CheckpointDir::new(&empty_path).unwrap(),
+            ServeConfig::default(),
+        )
+        .unwrap();
     assert!(!empty.has_snapshot());
     assert_eq!(empty.generation(), None);
     assert!(matches!(
@@ -333,4 +345,54 @@ fn bad_requests_and_empty_directories_are_typed_errors() {
         Err(ServeError::NoSnapshot)
     ));
     std::fs::remove_dir_all(&empty_path).ok();
+}
+
+/// A configuration the runtime cannot start with is a typed error from
+/// `Tenants::add`, returned before anything is registered: the registry
+/// stays empty and the same name is free for a valid `add`.
+#[test]
+fn zero_sized_configs_are_rejected_before_registration() {
+    let fx = Fixture::new("zero-config", 10);
+    let valid = ServeConfig {
+        target_channel: fx.ds.config.target_channel,
+        shards: 1,
+        ..ServeConfig::default()
+    };
+
+    let add = |registry: &Tenants, config| {
+        let (model, template) = UrclPipeline::serving_parts(
+            &fx.ds.network,
+            &fx.ds.config,
+            &TrainerConfig::default(),
+        );
+        let source = CheckpointDir::new(&fx.dir_path).unwrap();
+        registry.add("default", model, template, source, config)
+    };
+    let registry = Tenants::new();
+    let zero_batch = BatchPolicy {
+        max_batch: 0,
+        ..BatchPolicy::default()
+    };
+    for (what, config) in [
+        ("max_batch", ServeConfig { policy: zero_batch, ..valid }),
+        ("shards", ServeConfig { shards: 0, ..valid }),
+        ("queue_bound", ServeConfig { queue_bound: 0, ..valid }),
+    ] {
+        match add(&registry, config) {
+            Err(ServeError::BadRequest(msg)) => {
+                assert!(msg.contains(what), "{what}: message {msg:?}")
+            }
+            Err(e) => panic!("{what}: expected BadRequest, got {e}"),
+            Ok(_) => panic!("{what}: zero-sized config was accepted"),
+        }
+        assert!(registry.is_empty(), "{what}: rejected add registered a tenant");
+    }
+
+    let client = add(&registry, valid).expect("valid add under the rejected name succeeds");
+    assert_eq!(registry.names(), vec!["default".to_string()]);
+    let forecast = client.predict(&fx.windows[0]).expect("served");
+    assert_eq!(
+        forecast.prediction.shape(),
+        &[fx.ds.config.output_steps, fx.ds.config.num_nodes]
+    );
 }

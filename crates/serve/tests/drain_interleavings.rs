@@ -11,7 +11,7 @@
 //!
 //! Std-only loom-style pinning: rather than one lucky schedule, we
 //! enumerate 32 seeded interleavings. Each seed derives per-submitter
-//! spin/sleep jitter and a different server-drop delay from the in-tree
+//! spin/sleep jitter and a different registry-drop delay from the in-tree
 //! xoshiro RNG, sweeping the drop point across the burst — before, in
 //! the middle of, and after the submitters' work. Under the buggy
 //! protocol several of these schedules strand a waiter (the 10s
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use urcl_core::{CheckpointDir, TrainerConfig, UrclPipeline};
-use urcl_serve::{BatchPolicy, ServeConfig, ServeError, Server};
+use urcl_serve::{BatchPolicy, ServeConfig, ServeError, TenantClient, Tenants};
 use urcl_stdata::{DatasetConfig, SyntheticDataset};
 use urcl_tensor::{Rng, Tensor};
 
@@ -60,27 +60,34 @@ impl Fx {
         Self { ds, dir, windows }
     }
 
-    fn server(&self) -> Server {
+    /// A one-tenant registry and its client; dropping the registry
+    /// drains the tenant.
+    fn server(&self) -> (Tenants, TenantClient) {
         let (model, template) = UrclPipeline::serving_parts(
             &self.ds.network,
             &self.ds.config,
             &TrainerConfig::default(),
         );
-        Server::start(
-            model,
-            template,
-            CheckpointDir::new(&self.dir).unwrap(),
-            ServeConfig {
-                policy: BatchPolicy {
-                    max_batch: 4,
-                    max_delay: Duration::from_micros(200),
+        let registry = Tenants::new();
+        let client = registry
+            .add(
+                "drain",
+                model,
+                template,
+                CheckpointDir::new(&self.dir).unwrap(),
+                ServeConfig {
+                    policy: BatchPolicy {
+                        max_batch: 4,
+                        max_delay: Duration::from_micros(200),
+                    },
+                    target_channel: self.ds.config.target_channel,
+                    shards: 1,
+                    queue_bound: 64,
+                    ..ServeConfig::default()
                 },
-                target_channel: self.ds.config.target_channel,
-                shards: 1,
-                queue_bound: 64,
-                ..ServeConfig::default()
-            },
-        )
+            )
+            .expect("valid config");
+        (registry, client)
     }
 }
 
@@ -108,9 +115,8 @@ fn jitter(rng: &mut Rng) {
 fn no_seeded_interleaving_strands_a_waiter() {
     let fx = Arc::new(Fx::new());
     for seed in 0..SEEDS {
-        let server = fx.server();
-        assert!(server.has_snapshot(), "seed {seed}: checkpoint must load");
-        let client = server.client();
+        let (registry, client) = fx.server();
+        assert!(client.has_snapshot(), "seed {seed}: checkpoint must load");
 
         let replied = Arc::new(AtomicU64::new(0));
         let shut_out = Arc::new(AtomicU64::new(0));
@@ -159,13 +165,13 @@ fn no_seeded_interleaving_strands_a_waiter() {
             }));
         }
 
-        // Drop the server at a seed-dependent point in the burst: from
+        // Drop the registry at a seed-dependent point in the burst: from
         // "immediately" (seed 0 sleeps ~0) to "after most submits".
         let mut drop_rng = Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9));
         std::thread::sleep(Duration::from_micros(
             (drop_rng.uniform() * 4_000.0) as u64 * (seed % 4),
         ));
-        drop(server);
+        drop(registry);
 
         for t in threads {
             t.join().expect("submitter panicked");

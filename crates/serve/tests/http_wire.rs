@@ -171,7 +171,8 @@ fn forecast_over_the_wire_matches_in_process() {
     let fx = Fixture::new("wire");
     let (tenants, server) = fx.serve("metr-la", HttpConfig::default());
     let reference = tenants
-        .predict("metr-la", &fx.windows[0])
+        .client("metr-la")
+        .and_then(|client| client.predict(&fx.windows[0]))
         .expect("in-process forecast");
 
     let (status, _head, body) = roundtrip(

@@ -216,9 +216,10 @@ fn random_configs_route_bound_and_drain_correctly() {
         // handles still pending, then demand every handle resolves.
         let mut pending: Vec<(usize, Result<PendingForecast, ServeError>)> = Vec::new();
         for (t, fx) in fixtures.iter().take(tenant_count).enumerate() {
+            let client = registry.client(&fx.name).unwrap();
             for r in 0..4 {
                 let i = (t + r) % fx.windows.len();
-                pending.push((t, registry.submit(&fx.name, fx.windows[i].clone())));
+                pending.push((t, client.submit(fx.windows[i].clone())));
             }
         }
         drop(registry);

@@ -130,7 +130,7 @@ fn stolen_responses_are_bitwise_identical_to_solo_forwards() {
         h.join().expect("no client panicked");
     }
 
-    let stats = registry.stats("hot").unwrap();
+    let stats = client.stats();
     assert_eq!(stats.requests, (CLIENTS * REQS) as u64, "conservation");
     assert_eq!(stats.shed, 0, "generous bound must not shed");
     assert!(stats.max_batch <= 4, "stealing must respect the batch policy");
@@ -197,7 +197,7 @@ fn stealing_sheds_strictly_less_under_affinity_skew() {
                 &format!("request {i} steal={steal}"),
             );
         }
-        let stats = registry.stats("duel").unwrap();
+        let stats = client.stats();
         assert_eq!(stats.shed, shed as u64);
         (shed, stats.steals)
     };

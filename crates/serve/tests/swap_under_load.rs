@@ -4,12 +4,12 @@
 //! never a mix), swapping A never perturbs B, torn-latest falls back per
 //! tenant independently, and a hot-swap purges A's response cache.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use urcl_core::{CheckpointDir, TrainerConfig, UrclPipeline};
 use urcl_serve::{
-    forward_batch, BatchPolicy, CachePolicy, ModelSnapshot, ServeConfig, ServeError, Tenants,
+    forward_batch, BatchPolicy, CachePolicy, ModelSnapshot, ServeConfig, ServeError, TenantClient,
+    Tenants,
 };
 use urcl_stdata::{DatasetConfig, SyntheticDataset};
 use urcl_tensor::Tensor;
@@ -82,7 +82,7 @@ impl SwapFx {
         std::fs::write(slots.latest_path(), &self.gen_bytes[generation]).unwrap();
     }
 
-    fn add_to(&self, registry: &Tenants, name: &str, cache: bool) {
+    fn add_to(&self, registry: &Tenants, name: &str, cache: bool) -> TenantClient {
         let (model, template) = UrclPipeline::serving_parts_dyn(
             &self.ds.network,
             &self.ds.config,
@@ -107,6 +107,7 @@ impl SwapFx {
             )
             .expect("register tenant");
         assert!(client.has_snapshot());
+        client
     }
 }
 
@@ -138,22 +139,20 @@ fn tear(path: &std::path::Path) {
 fn swapping_tenant_a_mid_burst_never_perturbs_tenant_b() {
     let fx_a = SwapFx::new("a", DatasetConfig::metr_la(), 11, 12);
     let fx_b = SwapFx::new("b", DatasetConfig::pems04(), 13, 14);
-    let registry = Arc::new(Tenants::new());
-    fx_a.add_to(&registry, "tenant-a", false);
-    fx_b.add_to(&registry, "tenant-b", false);
+    let registry = Tenants::new();
+    let a = fx_a.add_to(&registry, "tenant-a", false);
+    let b = fx_b.add_to(&registry, "tenant-b", false);
 
     let mut handles = Vec::new();
     for w in 0..8 {
-        let registry = Arc::clone(&registry);
+        let (a, b) = (a.clone(), b.clone());
         let (windows_a, refs_a0, refs_a1) =
             (fx_a.windows.clone(), fx_a.refs[0].clone(), fx_a.refs[1].clone());
         let (windows_b, refs_b) = (fx_b.windows.clone(), fx_b.refs[0].clone());
         handles.push(std::thread::spawn(move || {
             for round in 0..30 {
                 let i = (w + round) % windows_a.len();
-                let fa = registry
-                    .predict("tenant-a", &windows_a[i])
-                    .expect("A served");
+                let fa = a.predict(&windows_a[i]).expect("A served");
                 assert!(
                     matches_bitwise(&fa.prediction, &refs_a0[i])
                         || matches_bitwise(&fa.prediction, &refs_a1[i]),
@@ -161,9 +160,7 @@ fn swapping_tenant_a_mid_burst_never_perturbs_tenant_b() {
                      (matches neither generation)"
                 );
                 let j = (w + round) % windows_b.len();
-                let fb = registry
-                    .predict("tenant-b", &windows_b[j])
-                    .expect("B served");
+                let fb = b.predict(&windows_b[j]).expect("B served");
                 assert!(
                     matches_bitwise(&fb.prediction, &refs_b[j]),
                     "worker {w} round {round}: tenant B perturbed by A's swaps"
@@ -175,7 +172,7 @@ fn swapping_tenant_a_mid_burst_never_perturbs_tenant_b() {
     let mut swapped = 0u64;
     for round in 0..12 {
         fx_a.publish(1 - round % 2);
-        if registry.reload_now("tenant-a").expect("reload A") {
+        if a.reload_now().expect("reload A") {
             swapped += 1;
         }
         std::thread::sleep(Duration::from_millis(5));
@@ -184,8 +181,8 @@ fn swapping_tenant_a_mid_burst_never_perturbs_tenant_b() {
         h.join().expect("no worker panicked");
     }
     assert!(swapped >= 2, "load test never actually swapped ({swapped})");
-    let stats_a = registry.stats("tenant-a").unwrap();
-    let stats_b = registry.stats("tenant-b").unwrap();
+    let stats_a = a.stats();
+    let stats_b = b.stats();
     assert_eq!(stats_a.swaps, swapped + 1, "initial load + live swaps");
     assert_eq!(stats_b.swaps, 1, "B must never swap");
     assert_eq!(stats_b.reload_failures, 0);
@@ -200,13 +197,13 @@ fn torn_latest_falls_back_per_tenant_independently() {
     let fx_a = SwapFx::new("torn-a", DatasetConfig::metr_la(), 21, 22);
     let fx_b = SwapFx::new("torn-b", DatasetConfig::pems08(), 23, 24);
     let registry = Tenants::new();
-    fx_a.add_to(&registry, "tenant-a", false);
-    fx_b.add_to(&registry, "tenant-b", false);
+    let a = fx_a.add_to(&registry, "tenant-a", false);
+    let b = fx_b.add_to(&registry, "tenant-b", false);
     let slots_a = CheckpointDir::new(&fx_a.dir).unwrap();
 
     // Rotate: generation 1 becomes latest, generation 0 previous...
     fx_a.publish(1);
-    assert!(registry.reload_now("tenant-a").unwrap());
+    assert!(a.reload_now().unwrap());
     let ckpt_prev = std::fs::read_to_string(slots_a.latest_path()).unwrap();
     std::fs::write(slots_a.previous_path(), ckpt_prev).unwrap();
     // ...then the next publish tears mid-write.
@@ -214,33 +211,33 @@ fn torn_latest_falls_back_per_tenant_independently() {
     tear(&slots_a.latest_path());
 
     // A falls back to previous (generation-1 weights) — still a swap.
-    assert!(registry.reload_now("tenant-a").unwrap());
-    let fa = registry.predict("tenant-a", &fx_a.windows[0]).unwrap();
+    assert!(a.reload_now().unwrap());
+    let fa = a.predict(&fx_a.windows[0]).unwrap();
     assert!(
         matches_bitwise(&fa.prediction, &fx_a.refs[1][0]),
         "A must serve the fallback (previous) generation"
     );
-    assert_eq!(registry.stats("tenant-a").unwrap().reload_failures, 0);
+    assert_eq!(a.stats().reload_failures, 0);
 
     // B is untouched by A's disk corruption.
-    let fb = registry.predict("tenant-b", &fx_b.windows[0]).unwrap();
+    let fb = b.predict(&fx_b.windows[0]).unwrap();
     assert!(matches_bitwise(&fb.prediction, &fx_b.refs[0][0]));
-    assert_eq!(registry.stats("tenant-b").unwrap().reload_failures, 0);
+    assert_eq!(b.stats().reload_failures, 0);
 
     // Both of A's slots torn: typed error, old snapshot keeps serving.
     tear(&slots_a.latest_path());
     tear(&slots_a.previous_path());
-    match registry.reload_now("tenant-a") {
+    match a.reload_now() {
         Err(ServeError::Reload(_)) => {}
         other => panic!("expected Reload error, got {other:?}"),
     }
-    let fa = registry.predict("tenant-a", &fx_a.windows[0]).unwrap();
+    let fa = a.predict(&fx_a.windows[0]).unwrap();
     assert!(
         matches_bitwise(&fa.prediction, &fx_a.refs[1][0]),
         "A must keep serving its in-memory snapshot"
     );
-    assert_eq!(registry.stats("tenant-a").unwrap().reload_failures, 1);
-    let fb = registry.predict("tenant-b", &fx_b.windows[0]).unwrap();
+    assert_eq!(a.stats().reload_failures, 1);
+    let fb = b.predict(&fx_b.windows[0]).unwrap();
     assert!(matches_bitwise(&fb.prediction, &fx_b.refs[0][0]));
 }
 
@@ -251,8 +248,7 @@ fn torn_latest_falls_back_per_tenant_independently() {
 fn hot_swap_purges_response_cache() {
     let fx = SwapFx::new("cache", DatasetConfig::pems_bay(), 31, 32);
     let registry = Tenants::new();
-    fx.add_to(&registry, "cached", true);
-    let client = registry.client("cached").unwrap();
+    let client = fx.add_to(&registry, "cached", true);
 
     // Prime the cache on generation 0.
     for w in &fx.windows {
@@ -267,7 +263,7 @@ fn hot_swap_purges_response_cache() {
     assert!(client.cached_len() > 0);
 
     fx.publish(1);
-    assert!(registry.reload_now("cached").unwrap());
+    assert!(client.reload_now().unwrap());
 
     // Same window, post-swap: must be the new generation, not the cache.
     let after = client.predict(&fx.windows[0]).unwrap();

@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod autodiff;
-pub mod fastact;
 pub mod gemm;
 pub mod gradcheck;
 pub mod opprof;
@@ -51,7 +50,6 @@ pub mod simd;
 pub mod tensor;
 
 pub use autodiff::{Session, Tape, Var};
-pub use fastact::{fast_activations_enabled, set_fast_activations, tanh_fast, FastActGuard};
 pub use opprof::{op_profile, reset_op_profile, set_op_profile, OpProfileRow};
 pub use optim::{Adam, AdamState, Optimizer, Sgd};
 pub use parallel::{

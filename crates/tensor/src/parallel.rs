@@ -348,11 +348,21 @@ pub const PAR_MIN_FLOPS: usize = 64 * 1024;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The thread count is process-global and the test harness runs these
+    /// tests concurrently, so every test that sets it holds this lock for
+    /// its whole body.
+    fn lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn covers_every_index_exactly_once() {
         let n = 1003;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let _guard = lock();
         let prev = set_threads(4);
         parallel_for(n, 1, |r| {
             for i in r {
@@ -365,6 +375,7 @@ mod tests {
 
     #[test]
     fn single_thread_runs_inline() {
+        let _guard = lock();
         let prev = set_threads(1);
         let tid = std::thread::current().id();
         parallel_for(100, 1, |_r| {
@@ -375,6 +386,7 @@ mod tests {
 
     #[test]
     fn grain_bounds_chunk_count() {
+        let _guard = lock();
         let prev = set_threads(8);
         let count = AtomicUsize::new(0);
         parallel_for(10, 5, |_r| {
@@ -393,6 +405,7 @@ mod tests {
     fn worker_panic_propagates() {
         // The last chunk runs on a worker when the host has spare cores
         // and inline otherwise; the panic must surface either way.
+        let _guard = lock();
         let prev = set_threads(4);
         let caught = std::panic::catch_unwind(|| {
             parallel_for(100, 1, |r| {
@@ -407,6 +420,7 @@ mod tests {
 
     #[test]
     fn nested_calls_degrade_inline() {
+        let _guard = lock();
         let prev = set_threads(4);
         let total = AtomicUsize::new(0);
         parallel_for(8, 1, |outer| {
@@ -422,6 +436,7 @@ mod tests {
 
     #[test]
     fn set_threads_clamps() {
+        let _guard = lock();
         let prev = set_threads(0);
         assert_eq!(num_threads(), 1);
         set_threads(prev);

@@ -49,9 +49,6 @@
 //! `bench_train_step` loss assertion pin this, the same contract
 //! discipline the pool (`URCL_POOL`) and SIMD (`URCL_SIMD`) seams use.
 //!
-//! Like the interpreter, activation dispatch (fast tanh vs libm) follows
-//! the *executing* thread's [`crate::fastact`] state at replay time.
-//!
 //! ## One seam, and the oracle switch
 //!
 //! Callers write one recording function `batch -> `[`Recording`] per
@@ -316,7 +313,7 @@ enum Stage {
 
 impl Stage {
     #[inline(always)]
-    fn apply(self, v: f32, tanh_fn: fn(f32) -> f32) -> f32 {
+    fn apply(self, v: f32) -> f32 {
         match self {
             Stage::Neg => v * -1.0,
             Stage::Scale(c) => v * c,
@@ -335,7 +332,7 @@ impl Stage {
                 }
             }
             Stage::Sigmoid => 1.0 / (1.0 + (-v).exp()),
-            Stage::Tanh => tanh_fn(v),
+            Stage::Tanh => v.tanh(),
         }
     }
 }
@@ -1218,11 +1215,6 @@ impl ExecPlan {
         inputs: &[&Tensor],
         shapes: &[Vec<usize>],
     ) {
-        let tanh_fn: fn(f32) -> f32 = if crate::fastact::fast_activations_enabled() {
-            crate::fastact::tanh_fast
-        } else {
-            f32::tanh
-        };
         let prof = crate::opprof::op_profile_enabled();
         // Shared im2col panels, keyed by conv group id; built on first
         // member, recycled after the group's last forward member.
@@ -1241,7 +1233,6 @@ impl ExecPlan {
                         stages,
                         *par,
                         &shapes[i],
-                        tanh_fn,
                     );
                     values[i] = Some(out);
                 }
@@ -1402,14 +1393,7 @@ impl ExecPlan {
                 v(*a).map(move |x| if x > 0.0 { x } else { s * x })
             }
             Op::Sigmoid(a) => v(*a).map(|x| 1.0 / (1.0 + (-x).exp())),
-            Op::Tanh(a) => {
-                let f: fn(f32) -> f32 = if crate::fastact::fast_activations_enabled() {
-                    crate::fastact::tanh_fast
-                } else {
-                    f32::tanh
-                };
-                v(*a).map(f)
-            }
+            Op::Tanh(a) => v(*a).map(f32::tanh),
             Op::MatMul(a, b) => v(*a).matmul(v(*b)),
             Op::Permute(a, perm) => v(*a).permute(perm),
             Op::Reshape(a) => v(*a).clone().reshape(&shapes[i]),
@@ -2099,7 +2083,6 @@ fn exec_run(
     stages: &[Stage],
     par: bool,
     out_shape: &[usize],
-    tanh_fn: fn(f32) -> f32,
 ) -> Tensor {
     let sd = src.data();
     let n = sd.len();
@@ -2108,7 +2091,7 @@ fn exec_run(
         for (slot, &x) in data.iter_mut().zip(sd.iter()) {
             let mut v = x;
             for s in stages {
-                v = s.apply(v, tanh_fn);
+                v = s.apply(v);
             }
             *slot = v;
         }
@@ -2117,7 +2100,7 @@ fn exec_run(
             for (slot, &x) in chunk.iter_mut().zip(&sd[r]) {
                 let mut v = x;
                 for s in stages {
-                    v = s.apply(v, tanh_fn);
+                    v = s.apply(v);
                 }
                 *slot = v;
             }

@@ -16,7 +16,7 @@
 use std::time::Duration;
 
 use urcl::core::{CheckpointDir, TrainerConfig, UrclPipeline};
-use urcl::serve::{BatchPolicy, ServeConfig, Server};
+use urcl::serve::{BatchPolicy, ServeConfig, Tenants};
 use urcl::stdata::{DatasetConfig, SyntheticDataset};
 use urcl::tensor::Tensor;
 
@@ -47,22 +47,28 @@ fn main() {
     // ---- the serving tier --------------------------------------------
     // The server only needs the *architecture* (model + parameter-store
     // template); every weight it ever serves comes from the directory.
+    // A single-model deployment is a one-tenant registry; dropping the
+    // registry drains the tenant.
     let (model, template) =
         UrclPipeline::serving_parts(&ds.network, &ds.config, &trainer_cfg);
-    let server = Server::start(
-        model,
-        template,
-        CheckpointDir::new(&ckpt_dir).expect("checkpoint dir"),
-        ServeConfig {
-            policy: BatchPolicy {
-                max_batch: 8,
-                max_delay: Duration::from_millis(2),
+    let registry = Tenants::new();
+    let server = registry
+        .add(
+            "metr-la",
+            model,
+            template,
+            CheckpointDir::new(&ckpt_dir).expect("checkpoint dir"),
+            ServeConfig {
+                policy: BatchPolicy {
+                    max_batch: 8,
+                    max_delay: Duration::from_millis(2),
+                },
+                target_channel: ds.config.target_channel,
+                reload_interval: None, // we trigger reloads explicitly below
+                ..ServeConfig::default()
             },
-            target_channel: ds.config.target_channel,
-            reload_interval: None, // we trigger reloads explicitly below
-            ..ServeConfig::default()
-        },
-    );
+        )
+        .expect("valid serving config");
     println!(
         "server up, generation {:?}, window shape {:?}",
         server.generation(),
@@ -102,6 +108,8 @@ fn main() {
     );
     assert!(swapped, "new checkpoint must swap");
     assert_ne!(g1, forecast.generation);
+
+    drop(registry);
 
     std::fs::remove_dir_all(&ckpt_dir).ok();
 }

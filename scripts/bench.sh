@@ -12,14 +12,16 @@
 # params-only checkpoint saves/loads through the atomic latest/previous
 # rotation and writes BENCH_checkpoint.json (latency + document size),
 # and bench_serve, which closed-loop sweeps the sharded multi-tenant
-# serving runtime across (threads, shards, tenants, max_batch, cache)
-# cells — thousands of client threads at the top end — and writes
-# BENCH_serve.json (schema urcl-bench-serve-v2: aggregate req/s plus
-# per-tenant p50/p95/p99, shed and cache counters, validated by
-# validate_json), and bench_train_step, which measures
-# end-to-end training-step throughput over {1,4} threads x buffer
-# pooling {off,on} and writes BENCH_train_step.json (the pooling-speedup
-# acceptance numbers).
+# serving runtime — solo, sharded, hot-set (cache on) and over-the-wire
+# cells across (threads, shards, tenants, max_batch, cache), thousands of
+# client threads at the top end, plus a work-stealing duel — and writes
+# BENCH_serve.json (schema urcl-bench-serve-v3: aggregate req/s plus
+# per-tenant p50/p95/p99, shed and cache counters, the wire floor and the
+# steal-duel gates, re-validated by validate_json), and bench_train_step,
+# which measures end-to-end training-step throughput over {1,4} threads
+# x {pooling off, pooling on, pooling + SIMD, pooling + SIMD + compiled
+# plan} plus the paper-default SSL plan duel and a batch-polymorphism
+# check, and writes BENCH_train_step.json (schema urcl-bench-train-v5).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release --offline -p urcl-bench

@@ -86,6 +86,12 @@ echo "== serve network front-end + work stealing (release) =="
 timeout 600 cargo test -q --offline --release -p urcl-serve \
   --test http_wire --test steal
 
+echo "== benchmark harness: builds against the current crates + its tests =="
+# perfbench/ is a package of its own (not a workspace member), so no
+# other stage compiles it; this one catches a deleted or renamed public
+# item it uses before the benchmark run does, and runs its harness tests.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 if [[ "$FULL" == 1 ]]; then
   echo "== full-size integration tests (ignored set) =="
   cargo test -q --offline --test end_to_end --test backbones -- --ignored

@@ -11,7 +11,7 @@
 //! in-memory snapshot untouched.
 
 use urcl::core::{CheckpointDir, TrainerConfig, UrclPipeline};
-use urcl::serve::{BatchPolicy, ServeConfig, ServeError, Server};
+use urcl::serve::{BatchPolicy, ServeConfig, ServeError, TenantClient, Tenants};
 use urcl::stdata::{DatasetConfig, SyntheticDataset};
 use urcl::tensor::Tensor;
 
@@ -52,23 +52,30 @@ impl Trainer {
             .narrow(0, offset, self.ds.config.input_steps)
     }
 
-    fn server(&self, slots: CheckpointDir) -> Server {
+    /// A one-tenant serving registry over `slots`, plus the tenant's
+    /// client. Dropping the registry drains the tenant.
+    fn server(&self, slots: CheckpointDir) -> (Tenants, TenantClient) {
         let (model, template) = UrclPipeline::serving_parts(
             &self.ds.network,
             &self.ds.config,
             &TrainerConfig::default(),
         );
-        Server::start(
-            model,
-            template,
-            slots,
-            ServeConfig {
-                policy: BatchPolicy::default(),
-                target_channel: self.ds.config.target_channel,
-                shards: 1,
-                ..ServeConfig::default()
-            },
-        )
+        let registry = Tenants::new();
+        let client = registry
+            .add(
+                "default",
+                model,
+                template,
+                slots,
+                ServeConfig {
+                    policy: BatchPolicy::default(),
+                    target_channel: self.ds.config.target_channel,
+                    shards: 1,
+                    ..ServeConfig::default()
+                },
+            )
+            .expect("valid config");
+        (registry, client)
     }
 }
 
@@ -105,7 +112,7 @@ fn hot_swap_is_bitwise_identical_to_fresh_load() {
     let trainer_b = Trainer::new(22);
 
     trainer_a.publish(&slots, "generation A");
-    let server = trainer_a.server(CheckpointDir::new(&dir).unwrap());
+    let (_registry, server) = trainer_a.server(CheckpointDir::new(&dir).unwrap());
     let before = server.predict(&trainer_a.window(0)).unwrap();
 
     // The (still running) trainer publishes new weights; the server
@@ -121,7 +128,7 @@ fn hot_swap_is_bitwise_identical_to_fresh_load() {
         .collect();
 
     // (a) fresh process, same checkpoint directory, cold load.
-    let fresh = trainer_b.server(CheckpointDir::new(&dir).unwrap());
+    let (_fresh_registry, fresh) = trainer_b.server(CheckpointDir::new(&dir).unwrap());
     for (i, w) in windows.iter().enumerate() {
         let cold = fresh.predict(w).unwrap();
         assert_bitwise_eq(&live[i], &cold.prediction, &format!("fresh load, window {i}"));
@@ -147,7 +154,7 @@ fn killed_trainer_mid_publish_falls_back_to_previous() {
     let trainer_b = Trainer::new(44);
 
     trainer_a.publish(&slots, "good generation");
-    let server = trainer_a.server(CheckpointDir::new(&dir).unwrap());
+    let (_registry, server) = trainer_a.server(CheckpointDir::new(&dir).unwrap());
 
     // Second publish rotates A to previous... and dies mid-write of the
     // new latest.
@@ -168,7 +175,7 @@ fn killed_trainer_mid_publish_falls_back_to_previous() {
     );
 
     // A fresh process over the torn directory reaches the same weights.
-    let fresh = trainer_a.server(CheckpointDir::new(&dir).unwrap());
+    let (_fresh_registry, fresh) = trainer_a.server(CheckpointDir::new(&dir).unwrap());
     let cold = fresh.predict(&window).unwrap();
     assert_bitwise_eq(&live.prediction, &cold.prediction, "cold load after tear");
     std::fs::remove_dir_all(&dir).ok();
@@ -186,7 +193,7 @@ fn torn_rotation_keeps_serving_old_snapshot() {
     trainer.publish(&slots, "gen 1");
     trainer.publish(&slots, "gen 2"); // populate previous.ckpt too
 
-    let server = trainer.server(CheckpointDir::new(&dir).unwrap());
+    let (_registry, server) = trainer.server(CheckpointDir::new(&dir).unwrap());
     let window = trainer.window(2);
     let before = server.predict(&window).unwrap();
     let generation = server.generation();
