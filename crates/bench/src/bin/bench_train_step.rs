@@ -1,7 +1,7 @@
 //! End-to-end training-step throughput on the tiny GraphWaveNet pipeline:
 //! forward, backward, gradient accumulation and an Adam update per step,
-//! swept over {1, 4} threads × {pooling off / pooling on / pooling on +
-//! SIMD fast kernels / pooled + SIMD + compiled plan} in one process.
+//! swept over {1, 4} threads × {scalar kernels / SIMD fast kernels /
+//! SIMD + compiled plan} in one process.
 //! Prints a table and writes `BENCH_train_step.json` at the workspace
 //! root.
 //!
@@ -10,26 +10,25 @@
 //! across all cells — the bench asserts this, making it a cheap
 //! determinism canary on top of `pool_determinism.rs`, an end-to-end
 //! SIMD↔scalar parity check on top of `simd_parity.rs`, and an
-//! interpreter↔plan parity check on top of `plan_parity.rs`. With pooling
-//! on it also reports the steady-state pool miss count (expected: zero —
-//! every buffer shape the step needs is cached during warmup). The plan
-//! cells compile one batch-polymorphic `ExecPlan` up front and replay it
-//! every step; the plan gate requires ≥ 1.15× over the pooled+simd
-//! interpreter cell at both thread counts. The same bar applies to the
-//! paper-default (SSL + STA on) `ssl_duel` cells, where every
-//! augmentation draw rebinds to one compiled plan's promoted input slots,
-//! and a `poly_batch_check` cycles batch sizes through one plan asserting
-//! zero recompiles. The artifact carries the `urcl-bench-train-v5`
+//! interpreter↔plan parity check on top of `plan_parity.rs`. Every cell
+//! also asserts a zero steady-state pool miss count (every buffer shape
+//! the step needs is cached during warmup). The plan cells compile one
+//! batch-polymorphic `ExecPlan` up front and replay it every step; the
+//! plan gate requires ≥ 1.15× over the simd interpreter at both thread
+//! counts. The same bar applies to the paper-default (SSL + STA on)
+//! `ssl_duel` cells, where every augmentation draw rebinds to one
+//! compiled plan's promoted input slots, and a `poly_batch_check` cycles
+//! batch sizes through one plan asserting zero recompiles. The artifact carries the `urcl-bench-train-v5`
 //! schema, re-gated offline by `validate_json`.
 //!
-//! Thread-scaling acceptance is host-aware: on a host with ≥ 4 physical
-//! cores the 4-thread SIMD cell must beat the 1-thread SIMD cell by
-//! ≥ 1.3×; on a smaller host real speedup is physically impossible, so
-//! the bench instead asserts the 4-thread cell does not fall off a cliff
-//! (≥ 0.85× of 1-thread; the dispatch-overhead cliff this guards against
-//! was ~2×, and sub-10ms steps leave a few percent of scheduler noise
-//! even best-of-rounds). The SIMD speedup gate (≥ 1.5× at 4 threads
-//! over the pooled scalar cell) applies everywhere.
+//! Thread-scaling acceptance is host-aware and measured as a paired duel
+//! (alternating 1-thread and 4-thread rounds, see [`thread_duel`]): on a
+//! host with ≥ 4 physical cores the 4-thread SIMD interpreter must beat
+//! the 1-thread one by ≥ 1.3×; on a smaller host real speedup is
+//! physically impossible, so the bench instead asserts the 4-thread arm
+//! does not fall off a cliff (≥ 0.85× of 1-thread; the dispatch-overhead
+//! cliff this guards against was ~2×). The SIMD speedup gate (≥ 1.5× at
+//! 4 threads over the scalar cell) applies everywhere.
 //!
 //! Flags/env: `--quick` shrinks the schedule for CI smoke runs; setting
 //! `URCL_BENCH_PHASES` prints a per-step forward/backward/update phase
@@ -44,7 +43,7 @@ use urcl_stdata::{stack_samples, Batch, Sample};
 use urcl_tensor::autodiff::{Session, Tape};
 use urcl_tensor::{
     buffer_pool_stats, op_profile, plan_stats, reset_buffer_pool_stats, reset_op_profile,
-    set_pooling, set_simd, set_threads, Adam, ExecPlan, Optimizer, ParamStore, Rng, Tensor,
+    set_simd, set_threads, Adam, ExecPlan, Optimizer, ParamStore, Rng, Tensor,
 };
 
 const NODES: usize = 24;
@@ -120,7 +119,6 @@ fn train_step_plan(plan: &ExecPlan, store: &mut ParamStore, opt: &mut Adam, batc
 
 struct Cell {
     threads: usize,
-    pooling: bool,
     simd: bool,
     plan: bool,
     steps_per_sec: f64,
@@ -128,28 +126,26 @@ struct Cell {
     pool_misses: u64,
 }
 
-/// Runs one (threads, pooling, simd, plan) cell: fresh model from a fixed
-/// seed, `warmup` untimed steps, then `timed` measured steps over a
-/// replayed batch schedule identical across cells.
-fn run_cell(
-    threads: usize,
-    pooling: bool,
-    simd: bool,
-    plan: bool,
-    warmup: usize,
-    timed: usize,
-) -> Cell {
-    set_threads(threads);
-    set_pooling(pooling);
-    set_simd(simd);
-
+/// A fresh task model from the table's fixed seed, with its optimizer
+/// and the 4-batch schedule every cell and duel arm replays.
+fn seeded_model() -> (ParamStore, GraphWaveNet, Adam, Vec<Batch>) {
     let mut rng = Rng::seed_from_u64(23);
     let net = random_geometric(NODES, 0.3, &mut rng);
     let mut store = ParamStore::new();
     let cfg = GwnConfig::small(NODES, CHANNELS, STEPS, 1);
     let model = GraphWaveNet::new(&mut store, &mut rng, &net, cfg);
-    let mut opt = Adam::new(1e-3);
     let batches: Vec<Batch> = (0..4).map(|_| make_batch(&mut rng)).collect();
+    (store, model, Adam::new(1e-3), batches)
+}
+
+/// Runs one (threads, simd, plan) cell: fresh model from a fixed seed,
+/// `warmup` untimed steps, then `timed` measured steps over a replayed
+/// batch schedule identical across cells.
+fn run_cell(threads: usize, simd: bool, plan: bool, warmup: usize, timed: usize) -> Cell {
+    set_threads(threads);
+    set_simd(simd);
+
+    let (mut store, model, mut opt, batches) = seeded_model();
     let exec_plan = plan.then(|| compile_plan(&model, &store, &batches[0]));
 
     let step = |store: &mut ParamStore, opt: &mut Adam, batch: &Batch| match &exec_plan {
@@ -184,7 +180,7 @@ fn run_cell(
         let steps = (rounds * timed) as u64;
         let mut rows = op_profile();
         rows.sort_by_key(|r| std::cmp::Reverse(r.fwd_nanos + r.bwd_nanos));
-        println!("  per-op profile ({} threads, pooling {}), us/step:", threads, pooling);
+        println!("  per-op profile ({threads} threads, simd {simd}, plan {plan}), us/step:");
         println!("    {:<12} {:>7} {:>9} {:>7} {:>9}", "op", "fwd", "fwd us", "bwd", "bwd us");
         for r in rows.iter().filter(|r| r.fwd_calls + r.bwd_calls > 0) {
             println!(
@@ -202,25 +198,17 @@ fn run_cell(
 
     let steps_per_sec = timed as f64 / secs;
     println!(
-        "{threads} threads, pooling {:<3} simd {:<3} plan {:<3}  {steps_per_sec:>7.2} steps/s  ({:>7.2} ms/step){}",
-        if pooling { "on" } else { "off" },
+        "{threads} threads, simd {:<3} plan {:<3}  {steps_per_sec:>7.2} steps/s  ({:>7.2} ms/step)  \
+         pool: {} misses, {} hits/step, {:.1} MB recycled/step",
         if simd { "on" } else { "off" },
         if plan { "on" } else { "off" },
         1e3 * secs / timed as f64,
-        if pooling {
-            format!(
-                "  pool: {} misses, {} hits/step, {:.1} MB recycled/step",
-                pool_misses,
-                stats.hits / (rounds * timed) as u64,
-                stats.bytes_recycled as f64 / (rounds * timed) as f64 / 1e6,
-            )
-        } else {
-            String::new()
-        },
+        pool_misses,
+        stats.hits / (rounds * timed) as u64,
+        stats.bytes_recycled as f64 / (rounds * timed) as f64 / 1e6,
     );
     Cell {
         threads,
-        pooling,
         simd,
         plan,
         steps_per_sec,
@@ -229,51 +217,78 @@ fn run_cell(
     }
 }
 
-/// Paired plan-vs-interpreter measurement: alternates interpreter and
-/// plan rounds inside one time window so slow host-load drift hits both
-/// arms equally, then takes each arm's best round. The sweep table still
-/// measures the plan cells for reporting and the bitwise check; this
-/// pairing exists because the table's two pooled+simd cells run minutes
-/// apart, and on a busy shared host that drift can dominate a ~15%
-/// ratio. Both arms are freshly seeded with the table's seed, so their
-/// step streams are identical.
+/// Paired A/B measurement: alternates one round of `timed` steps of each
+/// arm inside one time window (swapping which arm goes first every
+/// round), so slow host-load drift hits both arms equally, and returns
+/// each arm's best-round rate in steps/s. Each arm is called with the
+/// index of its timed step. The sweep table's cells run minutes apart,
+/// and on a busy shared host that drift can dominate the ratios the gates
+/// test.
+fn paired_rounds(
+    timed: usize,
+    mut a: impl FnMut(usize),
+    mut b: impl FnMut(usize),
+) -> (f64, f64) {
+    let rounds = 6;
+    let mut best = [f64::INFINITY; 2];
+    for round in 0..rounds {
+        for arm in [round % 2, 1 - round % 2] {
+            let t0 = Instant::now();
+            for i in 0..timed {
+                if arm == 0 {
+                    a(round * timed + i);
+                } else {
+                    b(round * timed + i);
+                }
+            }
+            best[arm] = best[arm].min(t0.elapsed().as_secs_f64());
+        }
+    }
+    (timed as f64 / best[0], timed as f64 / best[1])
+}
+
+/// Paired plan-vs-interpreter duel (simd on) at `threads`. Both arms are
+/// freshly seeded with the table's seed, so their step streams are
+/// identical.
 fn plan_duel(threads: usize, warmup: usize, timed: usize) -> (f64, f64) {
     set_threads(threads);
-    set_pooling(true);
     set_simd(true);
-    let mk = || {
-        let mut rng = Rng::seed_from_u64(23);
-        let net = random_geometric(NODES, 0.3, &mut rng);
-        let mut store = ParamStore::new();
-        let cfg = GwnConfig::small(NODES, CHANNELS, STEPS, 1);
-        let model = GraphWaveNet::new(&mut store, &mut rng, &net, cfg);
-        let batches: Vec<Batch> = (0..4).map(|_| make_batch(&mut rng)).collect();
-        (store, model, Adam::new(1e-3), batches)
-    };
-    let (mut s0, m0, mut o0, b0) = mk();
-    let (mut s1, m1, mut o1, b1) = mk();
+    let (mut s0, m0, mut o0, b0) = seeded_model();
+    let (mut s1, m1, mut o1, b1) = seeded_model();
     let plan = compile_plan(&m1, &s1, &b1[0]);
-    for i in 0..warmup {
+    let mut interp = |i: usize| {
         train_step(&m0, &mut s0, &mut o0, &b0[i % b0.len()]);
+    };
+    let mut replay = |i: usize| {
         train_step_plan(&plan, &mut s1, &mut o1, &b1[i % b1.len()]);
+    };
+    for i in 0..warmup {
+        interp(i);
+        replay(i);
     }
-    let rounds = 6;
-    let (mut best_interp, mut best_plan) = (f64::INFINITY, f64::INFINITY);
-    for round in 0..rounds {
-        let t0 = Instant::now();
-        for i in 0..timed {
-            let bi = (warmup + round * timed + i) % b0.len();
-            train_step(&m0, &mut s0, &mut o0, &b0[bi]);
-        }
-        best_interp = best_interp.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        for i in 0..timed {
-            let bi = (warmup + round * timed + i) % b1.len();
-            train_step_plan(&plan, &mut s1, &mut o1, &b1[bi]);
-        }
-        best_plan = best_plan.min(t0.elapsed().as_secs_f64());
+    paired_rounds(timed, |it| interp(warmup + it), |it| replay(warmup + it))
+}
+
+/// Paired 1-thread-vs-4-thread duel of the simd interpreter step: two
+/// identically seeded models, each arm setting its thread count before
+/// every step. Returns `(rate_1t, rate_4t)`.
+fn thread_duel(warmup: usize, timed: usize) -> (f64, f64) {
+    set_simd(true);
+    let (mut s0, m0, mut o0, b0) = seeded_model();
+    let (mut s1, m1, mut o1, b1) = seeded_model();
+    let mut step_1t = |i: usize| {
+        set_threads(1);
+        train_step(&m0, &mut s0, &mut o0, &b0[i % b0.len()]);
+    };
+    let mut step_4t = |i: usize| {
+        set_threads(4);
+        train_step(&m1, &mut s1, &mut o1, &b1[i % b1.len()]);
+    };
+    for i in 0..warmup {
+        step_1t(i);
+        step_4t(i);
     }
-    (timed as f64 / best_interp, timed as f64 / best_plan)
+    paired_rounds(timed, |it| step_1t(warmup + it), |it| step_4t(warmup + it))
 }
 
 /// The paper-default step graph (task MAE + weighted GraphCL term over
@@ -329,7 +344,6 @@ fn plan_ssl_step(plan: &ExecPlan, store: &mut ParamStore, refs: &[&Tensor]) -> f
 /// comparable).
 fn ssl_duel(threads: usize, timed: usize) -> (f64, f64) {
     set_threads(threads);
-    set_pooling(true);
     set_simd(true);
     let mut net_rng = Rng::seed_from_u64(23);
     let net = random_geometric(NODES, 0.3, &mut net_rng);
@@ -379,26 +393,18 @@ fn ssl_duel(threads: usize, timed: usize) -> (f64, f64) {
         );
     }
 
-    let rounds = 6;
-    let (mut best_interp, mut best_plan) = (f64::INFINITY, f64::INFINITY);
-    for round in 0..rounds {
-        let t0 = Instant::now();
-        for i in 0..timed {
-            let it = round * timed + i;
+    paired_rounds(
+        timed,
+        |it| {
             let graph = ssl_graph(&m0, &sim0, &draws[it % draws.len()], &masks);
             interp_ssl_step(&graph, &mut s0, &b0[it % b0.len()]);
-        }
-        best_interp = best_interp.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        for i in 0..timed {
-            let it = round * timed + i;
+        },
+        |it| {
             let graph = ssl_graph(&m1, &sim1, &draws[it % draws.len()], &masks);
             let refs = graph.inputs(&b1[it % b1.len()], plan.num_inputs());
             plan_ssl_step(&plan, &mut s1, &refs);
-        }
-        best_plan = best_plan.min(t0.elapsed().as_secs_f64());
-    }
-    (timed as f64 / best_interp, timed as f64 / best_plan)
+        },
+    )
 }
 
 /// Cycles batch sizes through ONE batch-polymorphic plan: the compile
@@ -407,7 +413,6 @@ fn ssl_duel(threads: usize, timed: usize) -> (f64, f64) {
 /// exercised, recorded in the JSON artifact.
 fn poly_batch_check() -> u64 {
     set_threads(1);
-    set_pooling(true);
     set_simd(true);
     let mut rng = Rng::seed_from_u64(23);
     let net = random_geometric(NODES, 0.3, &mut rng);
@@ -456,28 +461,25 @@ fn main() {
         urcl_tensor::detected_isa(),
     );
     let prev_threads = set_threads(1);
-    let prev_pool = set_pooling(true);
     let prev_simd = set_simd(false);
     let cells: Vec<Cell> = [
-        (1usize, false, false, false),
-        (1, true, false, false),
-        (1, true, true, false),
-        (1, true, true, true),
-        (4, false, false, false),
-        (4, true, false, false),
-        (4, true, true, false),
-        (4, true, true, true),
+        (1usize, false, false),
+        (1, true, false),
+        (1, true, true),
+        (4, false, false),
+        (4, true, false),
+        (4, true, true),
     ]
     .into_iter()
-    .map(|(t, p, s, pl)| run_cell(t, p, s, pl, warmup, timed))
+    .map(|(t, s, pl)| run_cell(t, s, pl, warmup, timed))
     .collect();
     let (duel_interp_1t, duel_plan_1t) = plan_duel(1, warmup, timed);
     let (duel_interp_4t, duel_plan_4t) = plan_duel(4, warmup, timed);
     let (ssl_interp_1t, ssl_plan_1t) = ssl_duel(1, timed);
     let (ssl_interp_4t, ssl_plan_4t) = ssl_duel(4, timed);
+    let (scaling_1t, scaling_4t) = thread_duel(warmup, timed);
     let poly_sizes_checked = poly_batch_check();
     set_threads(prev_threads);
-    set_pooling(prev_pool);
     set_simd(prev_simd);
 
     // All cells ran the same seeded schedule: numerics must agree — this
@@ -488,51 +490,49 @@ fn main() {
         assert_eq!(
             c.final_loss.to_bits(),
             cells[0].final_loss.to_bits(),
-            "cell ({} threads, pooling={}, simd={}, plan={}) diverged from reference loss",
+            "cell ({} threads, simd={}, plan={}) diverged from reference loss",
             c.threads,
-            c.pooling,
             c.simd,
             c.plan,
         );
     }
     // After warmup the pool has cached every buffer shape the step needs,
     // so the timed rounds must run allocation-free.
-    for c in cells.iter().filter(|c| c.pooling) {
+    for c in &cells {
         assert_eq!(
             c.pool_misses, 0,
-            "steady-state pool miss at {} threads",
-            c.threads
+            "steady-state pool miss at {} threads, simd={}, plan={}",
+            c.threads, c.simd, c.plan
         );
     }
 
-    let rate_of = |threads: usize, pooling: bool, simd: bool, plan: bool| {
+    let rate = |threads: usize, simd: bool| {
         cells
             .iter()
-            .find(|c| {
-                c.threads == threads && c.pooling == pooling && c.simd == simd && c.plan == plan
-            })
+            .find(|c| c.threads == threads && c.simd == simd && !c.plan)
             .map(|c| c.steps_per_sec)
             .unwrap()
     };
-    let rate = |threads: usize, pooling: bool, simd: bool| rate_of(threads, pooling, simd, false);
-    let speedup_1t = rate(1, true, false) / rate(1, false, false);
-    let speedup_4t = rate(4, true, false) / rate(4, false, false);
+    // Every gate is evaluated and printed before a failure aborts the
+    // run, so one run reports each failing gate with its value.
+    let mut failed: Vec<String> = Vec::new();
+    let mut gate = |ok: bool, msg: String| {
+        if !ok {
+            failed.push(msg);
+        }
+    };
+    let simd_speedup_1t = rate(1, true) / rate(1, false);
+    let simd_speedup_4t = rate(4, true) / rate(4, false);
     println!(
-        "pooling speedup: {speedup_1t:.2}x at 1 thread, {speedup_4t:.2}x at 4 threads \
-         (required: 1.4x at 4 threads)"
-    );
-    let simd_speedup_1t = rate(1, true, true) / rate(1, true, false);
-    let simd_speedup_4t = rate(4, true, true) / rate(4, true, false);
-    println!(
-        "simd speedup over pooled scalar: {simd_speedup_1t:.2}x at 1 thread, \
+        "simd speedup over scalar: {simd_speedup_1t:.2}x at 1 thread, \
          {simd_speedup_4t:.2}x at 4 threads (required: 1.5x at 4 threads)"
     );
-    assert!(
+    gate(
         simd_speedup_4t >= 1.5,
-        "SIMD fast kernels must deliver >= 1.5x at 4 threads, got {simd_speedup_4t:.2}x"
+        format!("SIMD fast kernels must deliver >= 1.5x at 4 threads, got {simd_speedup_4t:.2}x"),
     );
     // Plan gate: replaying the compiled plan must beat re-recording the
-    // tape (pooled + simd) at both thread counts, measured as a paired
+    // tape (simd on) at both thread counts, measured as a paired
     // duel (see `plan_duel`) so host-load drift between the table's
     // cells cannot fake or mask the speedup.
     let plan_speedup_1t = duel_plan_1t / duel_interp_1t;
@@ -542,16 +542,16 @@ fn main() {
          4t interp {duel_interp_4t:.2} vs plan {duel_plan_4t:.2} steps/s"
     );
     println!(
-        "plan speedup over pooled+simd interpreter: {plan_speedup_1t:.2}x at 1 thread, \
+        "plan speedup over simd interpreter: {plan_speedup_1t:.2}x at 1 thread, \
          {plan_speedup_4t:.2}x at 4 threads (required: 1.15x at both)"
     );
-    assert!(
+    gate(
         plan_speedup_1t >= 1.15,
-        "compiled plan must deliver >= 1.15x at 1 thread, got {plan_speedup_1t:.2}x"
+        format!("compiled plan must deliver >= 1.15x at 1 thread, got {plan_speedup_1t:.2}x"),
     );
-    assert!(
+    gate(
         plan_speedup_4t >= 1.15,
-        "compiled plan must deliver >= 1.15x at 4 threads, got {plan_speedup_4t:.2}x"
+        format!("compiled plan must deliver >= 1.15x at 4 threads, got {plan_speedup_4t:.2}x"),
     );
     // Paper-default plan gate: the same ≥ 1.15× bar over the full
     // augmented-SSL step, where every draw replays through one compiled
@@ -566,13 +566,13 @@ fn main() {
         "ssl plan speedup over interpreter: {ssl_speedup_1t:.2}x at 1 thread, \
          {ssl_speedup_4t:.2}x at 4 threads (required: 1.15x at both)"
     );
-    assert!(
+    gate(
         ssl_speedup_1t >= 1.15,
-        "augmented-SSL plan must deliver >= 1.15x at 1 thread, got {ssl_speedup_1t:.2}x"
+        format!("augmented-SSL plan must deliver >= 1.15x at 1 thread, got {ssl_speedup_1t:.2}x"),
     );
-    assert!(
+    gate(
         ssl_speedup_4t >= 1.15,
-        "augmented-SSL plan must deliver >= 1.15x at 4 threads, got {ssl_speedup_4t:.2}x"
+        format!("augmented-SSL plan must deliver >= 1.15x at 4 threads, got {ssl_speedup_4t:.2}x"),
     );
     println!(
         "poly batch check: one plan served {poly_sizes_checked} batch sizes, zero recompiles"
@@ -580,26 +580,25 @@ fn main() {
     // Thread-scaling gate, host-aware (see module docs): the 4-thread
     // curve must rise on real multi-core hardware and must at least stay
     // flat (no dispatch-overhead cliff) when the host cannot provide
-    // parallelism.
+    // parallelism. Measured as a paired duel (see `thread_duel`).
     let host = urcl_tensor::host_parallelism();
-    let thread_scaling = rate(4, true, true) / rate(1, true, true);
-    if host >= 4 {
-        println!("thread scaling (4t/1t, simd on): {thread_scaling:.2}x (required: 1.3x)");
-        assert!(
-            thread_scaling >= 1.3,
-            "4-thread cell must beat 1-thread by >= 1.3x on a {host}-core host, \
+    let thread_scaling = scaling_4t / scaling_1t;
+    let scaling_required = if host >= 4 { 1.3 } else { 0.85 };
+    println!(
+        "thread duel (paired rounds, simd on): 1t {scaling_1t:.2} vs 4t {scaling_4t:.2} steps/s"
+    );
+    println!(
+        "thread scaling (4t/1t, simd on): {thread_scaling:.2}x \
+         (host has {host} core(s); required: >= {scaling_required}x)"
+    );
+    gate(
+        thread_scaling >= scaling_required,
+        format!(
+            "4-thread arm must reach >= {scaling_required}x of 1-thread on a {host}-core host, \
              got {thread_scaling:.2}x"
-        );
-    } else {
-        println!(
-            "thread scaling (4t/1t, simd on): {thread_scaling:.2}x \
-             (host has {host} core(s); required: >= 0.85x, no cliff)"
-        );
-        assert!(
-            thread_scaling >= 0.85,
-            "4-thread cell fell off a cliff on a {host}-core host: {thread_scaling:.2}x"
-        );
-    }
+        ),
+    );
+    assert!(failed.is_empty(), "bench gates failed:\n  {}", failed.join("\n  "));
 
     let doc = Value::object()
         .with("schema", "urcl-bench-train-v5")
@@ -612,10 +611,7 @@ fn main() {
         .with(
             "acceptance",
             Value::object()
-                .with("metric", "steps/sec with pooling on vs off, 4 threads")
-                .with("pool_speedup_1t", speedup_1t)
-                .with("pool_speedup_4t", speedup_4t)
-                .with("required_4t", 1.4)
+                .with("metric", "steps/sec with simd fast kernels vs scalar, 4 threads")
                 .with("simd_speedup_1t", simd_speedup_1t)
                 .with("simd_speedup_4t", simd_speedup_4t)
                 .with("simd_required_4t", 1.5)
@@ -649,9 +645,12 @@ fn main() {
                 .with("poly_recompiles", 0.0)
                 .with("thread_scaling_4t_over_1t", thread_scaling)
                 .with(
-                    "thread_scaling_required",
-                    if host >= 4 { 1.3 } else { 0.85 },
-                ),
+                    "thread_duel",
+                    Value::object()
+                        .with("steps_per_sec_1t", scaling_1t)
+                        .with("steps_per_sec_4t", scaling_4t),
+                )
+                .with("thread_scaling_required", scaling_required),
         )
         .with(
             "cells",
@@ -661,7 +660,6 @@ fn main() {
                     .map(|c| {
                         Value::object()
                             .with("threads", c.threads)
-                            .with("pooling", c.pooling)
                             .with("simd", c.simd)
                             .with("plan", c.plan)
                             .with("steps_per_sec", c.steps_per_sec)

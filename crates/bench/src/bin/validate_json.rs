@@ -161,9 +161,10 @@ fn validate_serve_v3(doc: &Value, cells: &[Value]) -> Result<(), String> {
 /// (the train-step sweep): every cell carries its configuration axes and
 /// a positive throughput, both plan duels (task-only and the
 /// paper-default augmented-SSL step) clear the 1.15× floor at both
-/// thread counts, bitwise-identity booleans are recorded true, and the
-/// batch-polymorphism check saw one plan serve several batch sizes with
-/// zero recompiles.
+/// thread counts, the SIMD speedup and thread scaling clear the bounds
+/// the artifact records beside them, bitwise-identity booleans are
+/// recorded true, and the batch-polymorphism check saw one plan serve
+/// several batch sizes with zero recompiles.
 fn validate_train_v5(doc: &Value) -> Result<(), String> {
     let cells = doc
         .get("cells")
@@ -173,7 +174,7 @@ fn validate_train_v5(doc: &Value) -> Result<(), String> {
         return Err("train \"cells\" is empty".into());
     }
     for (i, cell) in cells.iter().enumerate() {
-        for key in ["threads", "pooling", "simd", "plan"] {
+        for key in ["threads", "simd", "plan"] {
             if cell.get(key).is_none() {
                 return Err(format!("train cell {i} missing {key:?}"));
             }
@@ -202,6 +203,20 @@ fn validate_train_v5(doc: &Value) -> Result<(), String> {
                 return Err(format!("train gate {key:?} under the 1.15x floor: {v:.3}x"))
             }
             None => return Err(format!("train acceptance missing numeric {key:?}")),
+        }
+    }
+    for (key, bound) in [
+        ("simd_speedup_4t", "simd_required_4t"),
+        ("thread_scaling_4t_over_1t", "thread_scaling_required"),
+    ] {
+        let num = |k: &str| {
+            acc.get(k)
+                .and_then(Value::as_f64)
+                .ok_or_else(|| format!("train acceptance missing numeric {k:?}"))
+        };
+        let (v, floor) = (num(key)?, num(bound)?);
+        if v < floor {
+            return Err(format!("train gate {key:?} under its {floor}x bound: {v:.3}x"));
         }
     }
     for key in ["bitwise_identical_cells", "ssl_bitwise_identical"] {
@@ -376,4 +391,78 @@ fn main() {
         }
     }
     std::process::exit(if failed { 1 } else { 0 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::validate_train_v5;
+    use urcl_json::Value;
+
+    /// A minimal `urcl-bench-train-v5` document that clears every gate.
+    fn train_doc() -> Value {
+        let duel = || {
+            Value::object()
+                .with("interp_steps_per_sec_1t", 100.0)
+                .with("plan_steps_per_sec_1t", 120.0)
+                .with("interp_steps_per_sec_4t", 100.0)
+                .with("plan_steps_per_sec_4t", 120.0)
+        };
+        let cell = Value::object()
+            .with("threads", 1.0)
+            .with("simd", true)
+            .with("plan", false)
+            .with("steps_per_sec", 100.0);
+        Value::object()
+            .with("schema", "urcl-bench-train-v5")
+            .with(
+                "acceptance",
+                Value::object()
+                    .with("simd_speedup_4t", 3.0)
+                    .with("simd_required_4t", 1.5)
+                    .with("plan_speedup_1t", 1.2)
+                    .with("plan_speedup_4t", 1.2)
+                    .with("ssl_plan_speedup_1t", 1.2)
+                    .with("ssl_plan_speedup_4t", 1.2)
+                    .with("plan_duel", duel())
+                    .with("ssl_duel", duel())
+                    .with("bitwise_identical_cells", true)
+                    .with("ssl_bitwise_identical", true)
+                    .with("poly_batch_sizes_checked", 6.0)
+                    .with("poly_recompiles", 0.0)
+                    .with("thread_scaling_4t_over_1t", 1.0)
+                    .with("thread_scaling_required", 0.85),
+            )
+            .with("cells", Value::Array(vec![cell]))
+    }
+
+    /// Rebuilds `doc` with `acceptance.key` replaced by `v`.
+    fn with_acceptance(doc: Value, key: &str, v: f64) -> Value {
+        let acc = doc.get("acceptance").unwrap().clone().with(key, v);
+        doc.with("acceptance", acc)
+    }
+
+    #[test]
+    fn well_formed_train_doc_passes() {
+        assert_eq!(validate_train_v5(&train_doc()), Ok(()));
+    }
+
+    #[test]
+    fn train_gates_under_their_bounds_are_rejected() {
+        for (key, low) in [("simd_speedup_4t", 1.49), ("thread_scaling_4t_over_1t", 0.84)] {
+            let err = validate_train_v5(&with_acceptance(train_doc(), key, low))
+                .expect_err("gate under its bound must fail");
+            assert!(err.contains(key), "error {err:?} does not name {key}");
+        }
+    }
+
+    #[test]
+    fn train_cell_missing_simd_is_rejected() {
+        let cell = Value::object()
+            .with("threads", 1.0)
+            .with("plan", false)
+            .with("steps_per_sec", 100.0);
+        let doc = train_doc().with("cells", Value::Array(vec![cell]));
+        let err = validate_train_v5(&doc).expect_err("cell without simd must fail");
+        assert!(err.contains("simd"), "error {err:?} does not name the missing key");
+    }
 }

@@ -263,14 +263,6 @@ impl Tape {
         let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
         grads[loss.idx] = Some(Tensor::ones(nodes[loss.idx].value.shape()));
 
-        // With pooling (memory reuse) off, every arm below falls back to
-        // the seed-era kernels: materialize each edge's temporary tensor,
-        // reduce_to_shape even when shapes already match, then accumulate.
-        // The per-element arithmetic of both paths is identical, so the
-        // toggle is a pure before/after switch for allocation behaviour —
-        // `pool_determinism` asserts bitwise equality, `bench_train_step`
-        // measures the speed difference.
-        let reuse = pool::pooling_enabled();
         let prof = crate::opprof::op_profile_enabled();
         for i in (0..=loss.idx).rev() {
             let Some(g) = grads[i].take() else { continue };
@@ -287,9 +279,9 @@ impl Tape {
                 }
                 Op::Add(a, b) => {
                     // Same-shape edges propagate g by reference (one clone
-                    // at most); broadcast edges reduce first as before.
+                    // at most); broadcast edges reduce first.
                     for &inp in &[*a, *b] {
-                        if reuse && nodes[inp].value.shape() == g.shape() {
+                        if nodes[inp].value.shape() == g.shape() {
                             accumulate_ref(&mut grads, inp, &g);
                         } else {
                             accumulate(&mut grads, inp, g.reduce_to_shape(nodes[inp].value.shape()));
@@ -297,12 +289,12 @@ impl Tape {
                     }
                 }
                 Op::Sub(a, b) => {
-                    if reuse && nodes[*a].value.shape() == g.shape() {
+                    if nodes[*a].value.shape() == g.shape() {
                         accumulate_ref(&mut grads, *a, &g);
                     } else {
                         accumulate(&mut grads, *a, g.reduce_to_shape(nodes[*a].value.shape()));
                     }
-                    if reuse && nodes[*b].value.shape() == g.shape() {
+                    if nodes[*b].value.shape() == g.shape() {
                         fused_scale_acc(&mut grads, *b, &g, -1.0);
                     } else {
                         accumulate(
@@ -315,7 +307,7 @@ impl Tape {
                 Op::Mul(a, b) => {
                     let av = &nodes[*a].value;
                     let bv = &nodes[*b].value;
-                    if reuse && av.shape() == g.shape() && bv.shape() == g.shape() {
+                    if av.shape() == g.shape() && bv.shape() == g.shape() {
                         fused_mul_acc(&mut grads, *a, &g, bv);
                         fused_mul_acc(&mut grads, *b, &g, av);
                     } else {
@@ -328,10 +320,10 @@ impl Tape {
                 Op::Div(a, b) => {
                     let av = &nodes[*a].value;
                     let bv = &nodes[*b].value;
-                    if reuse && av.shape() == g.shape() && bv.shape() == g.shape() {
+                    if av.shape() == g.shape() && bv.shape() == g.shape() {
                         fused_map2(&mut grads, *a, &g, bv, |gv, b| gv / b);
                         // d/db (a/b) = -a / b^2, with the exact expression
-                        // tree of the old temporary chain.
+                        // tree of the broadcast arm's temporary chain.
                         fused_map3(&mut grads, *b, &g, av, bv, |gv, a, b| {
                             ((gv * a) / (b * b)) * -1.0
                         });
@@ -346,58 +338,24 @@ impl Tape {
                         accumulate(&mut grads, *b, gb);
                     }
                 }
-                Op::Neg(a) => {
-                    if reuse {
-                        fused_scale_acc(&mut grads, *a, &g, -1.0);
-                    } else {
-                        accumulate(&mut grads, *a, g.scale(-1.0));
-                    }
-                }
-                Op::Scale(a, c) => {
-                    let c = *c;
-                    if reuse {
-                        fused_scale_acc(&mut grads, *a, &g, c);
-                    } else {
-                        accumulate(&mut grads, *a, g.scale(c));
-                    }
-                }
+                Op::Neg(a) => fused_scale_acc(&mut grads, *a, &g, -1.0),
+                Op::Scale(a, c) => fused_scale_acc(&mut grads, *a, &g, *c),
                 Op::AddScalar(a, _) => accumulate(&mut grads, *a, g),
                 Op::PowF(a, p) => {
                     let p = *p;
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &nodes[*a].value, move |gv, v| {
-                            gv * (p * v.powf(p - 1.0))
-                        });
-                    } else {
-                        let dg = g.mul(&nodes[*a].value.map(|v| p * v.powf(p - 1.0)));
-                        accumulate(&mut grads, *a, dg);
-                    }
+                    fused_map2(&mut grads, *a, &g, &nodes[*a].value, move |gv, v| {
+                        gv * (p * v.powf(p - 1.0))
+                    });
                 }
-                Op::Exp(a) => {
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv * y);
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(&node.value));
-                    }
-                }
-                Op::Ln(a) => {
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &nodes[*a].value, |gv, v| gv / v);
-                    } else {
-                        accumulate(&mut grads, *a, g.div(&nodes[*a].value));
-                    }
-                }
+                Op::Exp(a) => fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv * y),
+                Op::Ln(a) => fused_map2(&mut grads, *a, &g, &nodes[*a].value, |gv, v| gv / v),
                 Op::Sqrt(a) => {
                     // dy/dx = 1 / (2 sqrt(x)) = 1 / (2 y)
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv / (y * 2.0));
-                    } else {
-                        accumulate(&mut grads, *a, g.div(&node.value.scale(2.0)));
-                    }
+                    fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv / (y * 2.0));
                 }
                 Op::Abs(a) => {
                     // Mask-multiply (not branch-select on g) so signed
-                    // zeros match the old `g.mul(&sign)` exactly.
+                    // zeros match `g * sign(x)` exactly.
                     let sign = |v: f32| {
                         if v > 0.0 {
                             1.0
@@ -407,64 +365,40 @@ impl Tape {
                             0.0
                         }
                     };
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &nodes[*a].value, |gv, v| gv * sign(v));
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(&nodes[*a].value.map(sign)));
-                    }
+                    fused_map2(&mut grads, *a, &g, &nodes[*a].value, |gv, v| gv * sign(v));
                 }
                 Op::Relu(a) => {
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &nodes[*a].value, |gv, v| {
-                            gv * if v > 0.0 { 1.0 } else { 0.0 }
-                        });
-                    } else {
-                        let mask = nodes[*a].value.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                        accumulate(&mut grads, *a, g.mul(&mask));
-                    }
+                    fused_map2(&mut grads, *a, &g, &nodes[*a].value, |gv, v| {
+                        gv * if v > 0.0 { 1.0 } else { 0.0 }
+                    });
                 }
                 Op::LeakyRelu(a, slope) => {
                     let s = *slope;
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &nodes[*a].value, move |gv, v| {
-                            gv * if v > 0.0 { 1.0 } else { s }
-                        });
-                    } else {
-                        let mask = nodes[*a].value.map(|v| if v > 0.0 { 1.0 } else { s });
-                        accumulate(&mut grads, *a, g.mul(&mask));
-                    }
+                    fused_map2(&mut grads, *a, &g, &nodes[*a].value, move |gv, v| {
+                        gv * if v > 0.0 { 1.0 } else { s }
+                    });
                 }
                 Op::Sigmoid(a) => {
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv * (y * (1.0 - y)));
-                    } else {
-                        let y = &node.value;
-                        accumulate(&mut grads, *a, g.mul(&y.mul(&y.map(|v| 1.0 - v))));
-                    }
+                    fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv * (y * (1.0 - y)));
                 }
                 Op::Tanh(a) => {
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv * (1.0 - y * y));
-                    } else {
-                        let y = &node.value;
-                        accumulate(&mut grads, *a, g.mul(&y.map(|v| 1.0 - v * v)));
-                    }
+                    fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv * (1.0 - y * y));
                 }
                 Op::MatMul(a, b) => {
                     let av = &nodes[*a].value;
                     let bv = &nodes[*b].value;
                     // Fused-transpose gemm: dA = dC @ B^T, dB = A^T @ dC,
-                    // without materializing B^T / A^T copies. With reuse on,
-                    // the reduce_to_shape (a full-tensor copy when shapes
-                    // already match) only runs on broadcast edges.
+                    // without materializing B^T / A^T copies. The
+                    // reduce_to_shape (a full-tensor copy) only runs on
+                    // broadcast edges.
                     let ga = g.matmul_nt(bv);
-                    let ga = if reuse && ga.shape() == av.shape() {
+                    let ga = if ga.shape() == av.shape() {
                         ga
                     } else {
                         ga.reduce_to_shape(av.shape())
                     };
                     let gb = av.matmul_tn(&g);
-                    let gb = if reuse && gb.shape() == bv.shape() {
+                    let gb = if gb.shape() == bv.shape() {
                         gb
                     } else {
                         gb.reduce_to_shape(bv.shape())
@@ -589,9 +523,9 @@ pub(crate) fn accumulate_ref(grads: &mut [Option<Tensor>], idx: usize, g: &Tenso
 /// the axpy-style fusion that removes one allocation + write + read per
 /// backward edge. When the slot is empty the contribution is written into
 /// a pooled buffer. Either way the per-element arithmetic is "evaluate
-/// `eval(e)`, then add" — exactly what the old temporary-then-`add_assign`
-/// code produced (Rust does not contract `a + b * c` to FMA), so results
-/// are bitwise identical. Large tensors split over the thread pool on
+/// `eval(e)`, then add" — exactly what materializing a temporary and
+/// `add_assign`ing it would produce (Rust does not contract `a + b * c` to
+/// FMA), so results are bitwise identical. Large tensors split over the thread pool on
 /// disjoint output chunks, preserving determinism at any thread count.
 fn fused_apply(
     grads: &mut [Option<Tensor>],
@@ -822,14 +756,13 @@ pub(crate) fn conv1d_backward_dx(
     };
     let flops = b * cout * cin * k * t_out;
 
-    // dx via an im2col-of-g GEMM when pooling is on and the time rows are
-    // short (per-tap slice setup dominates the direct loop there). Bits
-    // are unchanged: each dx element is a single flat +0.0-seeded running
+    // dx via an im2col-of-g GEMM when the time rows are short (per-tap
+    // slice setup dominates the direct loop there). Bits are unchanged: each dx element is a single flat +0.0-seeded running
     // sum over (co, ki) ascending — exactly the direct loop's order — the
     // `cout*k <= KC` guard keeps the GEMM from splitting that sum into KC
     // partials, and taps the direct loop clamps away become `w * 0.0`
     // terms, which never change the bits of a +0.0-seeded sum.
-    let dx_gemm = crate::pool::pooling_enabled() && t < crate::gemm::NR && cout * k <= crate::gemm::KC;
+    let dx_gemm = t < crate::gemm::NR && cout * k <= crate::gemm::KC;
     if dx_gemm {
         use crate::pool;
         // wT[ci, co*k + ki] = w[co, ci, ki]
@@ -967,7 +900,7 @@ pub(crate) fn conv1d_backward_dw(
     // (clamped taps appear as `g * 0.0` terms — adding a signed zero to a
     // +0.0-seeded sum is the identity), and the partials are then summed
     // serially in bi order, so every bit matches the direct loop.
-    let dw_gemm = crate::pool::pooling_enabled() && t_out < crate::gemm::NR;
+    let dw_gemm = t_out < crate::gemm::NR;
     if dw_gemm {
         use crate::pool;
         let kk = cin * k;
@@ -1138,8 +1071,8 @@ pub(crate) fn conv1d_dw_cols(
 /// [`conv1d_dw_cols`] panel. Bitwise identical to the GEMM branch of
 /// [`conv1d_backward_dw`] (same per-batch GEMMs over the same panel
 /// values, same bi-ordered serial accumulate); callers must check the
-/// same `pooling_enabled() && t_out < NR` guard that selects that
-/// branch before using this path.
+/// same `t_out < NR` guard that selects that branch before using this
+/// path.
 pub(crate) fn conv1d_backward_dw_with_cols(
     g: &Tensor,
     x_shape: &[usize],

@@ -46,8 +46,8 @@ pub const NC: usize = 256;
 /// plain branch-free ikj loop wins.
 pub const SMALL_GEMM_FLOPS: usize = 32 * 32 * 32;
 
-/// Outputs at most this many rows tall are routed to the direct kernel
-/// when buffer pooling is on. Rationale: packing touches all `k * n`
+/// Outputs at most this many rows tall are routed to the direct kernel.
+/// Rationale: packing touches all `k * n`
 /// elements of B once per call, which is `1/m` of the multiply-add count —
 /// for thin outputs (small `m`, as produced by graph convolutions over a
 /// couple dozen nodes, and by per-thread row strips of such shapes) that
@@ -92,11 +92,9 @@ pub fn gemm_strided(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    // Shape-aware routing (pooled mode only — with pooling off the
-    // seed-era SMALL_GEMM_FLOPS rule alone decides, reproducing baseline
-    // behaviour). Thin single-block outputs (small m, k within one KC
-    // block, contiguous B rows) run the direct kernel: packing costs
-    // `~1/m` of the multiply-add count, which for a couple dozen rows —
+    // Shape-aware routing. Thin single-block outputs (small m, k within
+    // one KC block, contiguous B rows) run the direct kernel: packing
+    // costs `~1/m` of the multiply-add count, which for a couple dozen rows —
     // graph-convolution outputs, or per-thread row strips of them —
     // approaches the GEMM itself. Small GEMMs with a *strided* L1-sized B
     // (e.g. `A @ B^T` against a tiny weight) first transpose B into
@@ -104,8 +102,7 @@ pub fn gemm_strided(
     // instead of gathering scalars. Routing never affects results — both
     // kernels produce bitwise identical elements (see [`gemm_small`]),
     // and the transpose is a pure copy, so it cannot change bits either.
-    let pooled = crate::pool::pooling_enabled();
-    let fast = pooled && crate::simd::fast_kernels();
+    let fast = crate::simd::fast_kernels();
     let tiny_strided_b = b_cs != 1 && k * n <= SMALL_B_ELEMS;
     // Skinny outputs (n within one micro-tile, B L1-resident) route
     // direct at *any* height: the micro-tile would multiply mostly
@@ -113,7 +110,7 @@ pub fn gemm_strided(
     // registers. Gated on the fast-kernel switch so `URCL_SIMD=0`
     // reproduces the previous routing exactly.
     let skinny = fast && n <= NR && k * n <= SMALL_B_ELEMS;
-    let thin = pooled && (m <= DIRECT_M_MAX || skinny) && (b_cs == 1 || tiny_strided_b);
+    let thin = (m <= DIRECT_M_MAX || skinny) && (b_cs == 1 || tiny_strided_b);
     if m * n * k < SMALL_GEMM_FLOPS || thin {
         // Column-strided A with deep k (the `dB = A^T @ dC` backward
         // shape) makes the direct kernel gather one cache line per
@@ -131,7 +128,7 @@ pub fn gemm_strided(
             Some(at) => (at, k, 1),
             None => (a, a_rs, a_cs),
         };
-        if pooled && tiny_strided_b {
+        if tiny_strided_b {
             let mut bt = crate::pool::take_uninit(k * n);
             if fast && b_rs == 1 {
                 crate::simd::transpose_gather(b, b_cs, &mut bt, k, n);
@@ -649,26 +646,19 @@ mod tests {
             let a = fill(m * k, 11);
             let b = fill(k * n, 12);
             let mut out = vec![0.0f32; m * n];
-            for &pooled in &[false, true] {
-                let prev = crate::pool::set_pooling(pooled);
-                let t0 = std::time::Instant::now();
-                let iters = 2000;
-                for _ in 0..iters {
-                    gemm_strided(m, k, n, &a, k, 1, &b, b_rs, b_cs, &mut out);
-                }
-                let us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-                let gfs = (m * n * k) as f64 / us / 1e3;
-                println!(
-                    "m={m:<5} k={k:<5} n={n:<3} b_cs={b_cs:<3} pooled={pooled:<5} {us:>8.2} us  {gfs:>6.2} GF/s"
-                );
-                crate::pool::set_pooling(prev);
+            let t0 = std::time::Instant::now();
+            let iters = 2000;
+            for _ in 0..iters {
+                gemm_strided(m, k, n, &a, k, 1, &b, b_rs, b_cs, &mut out);
             }
+            let us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
+            let gfs = (m * n * k) as f64 / us / 1e3;
+            println!("m={m:<5} k={k:<5} n={n:<3} b_cs={b_cs:<3} {us:>8.2} us  {gfs:>6.2} GF/s");
         }
     }
 
     #[test]
     fn fast_routing_and_intrinsic_arms_are_bitwise_identical() {
-        let prev_pool = crate::pool::set_pooling(true);
         let prev_simd = crate::simd::set_simd(true);
         // Shapes hitting the new routes: TN deep-k strided A, skinny tall
         // NN, tiny strided B, plus a tiled-path shape for the micro-kernel
@@ -706,7 +696,6 @@ mod tests {
             }
         }
         crate::simd::set_simd(prev_simd);
-        crate::pool::set_pooling(prev_pool);
     }
 
     #[test]

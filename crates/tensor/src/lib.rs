@@ -57,8 +57,8 @@ pub use parallel::{
     PoolStats,
 };
 pub use pool::{
-    buffer_pool_stats, pool_poison_enabled, pooling_enabled, reset_buffer_pool_stats, set_pool_poison,
-    set_pooling, trim_excess, BufferPoolStats,
+    buffer_pool_stats, pool_poison_enabled, reset_buffer_pool_stats, set_pool_poison, trim_excess,
+    BufferPoolStats,
 };
 pub use plan::{
     plan_enabled, plan_stats, reset_plan_stats, set_plan, thread_plan_compiles, ExecPlan, Phase,

@@ -47,7 +47,7 @@
 //! exactly like materializing each intermediate; per-slot gradient
 //! accumulation order is preserved). `tests/plan_parity.rs` and the
 //! `bench_train_step` loss assertion pin this, the same contract
-//! discipline the pool (`URCL_POOL`) and SIMD (`URCL_SIMD`) seams use.
+//! discipline the SIMD (`URCL_SIMD`) seam uses.
 //!
 //! ## One seam, and the oracle switch
 //!
@@ -1331,12 +1331,7 @@ impl ExecPlan {
         let k = w.shape()[2];
         let t_out = shapes[conv][2];
         let n_out = numel(&shapes[conv]);
-        if pool::pooling_enabled()
-            && t_out < crate::gemm::NR
-            && cin * k <= crate::gemm::KC
-            && n_out > 0
-            && cin > 0
-        {
+        if t_out < crate::gemm::NR && cin * k <= crate::gemm::KC && n_out > 0 && cin > 0 {
             if !panels.iter().any(|(g2, _)| *g2 == gid) {
                 panels.push((gid, x.conv1d_cols(k, *dilation, *pad_left, t_out)));
             }
@@ -1440,7 +1435,6 @@ impl ExecPlan {
         let mut grads: Vec<Option<Tensor>> = Vec::new();
         grads.resize_with(self.ops.len(), || None);
         grads[root] = Some(Tensor::ones(&shapes[root]));
-        let reuse = pool::pooling_enabled();
         let prof = crate::opprof::op_profile_enabled();
         let uf = |a: usize| self.useful[a];
         // Shared dw im2col panels, keyed by conv group id; built by the
@@ -1458,26 +1452,26 @@ impl ExecPlan {
                     let (a, b) = (*a, *b);
                     match (uf(a), uf(b)) {
                         (true, true) => {
-                            if reuse && shapes[a] == shapes[i] {
+                            if shapes[a] == shapes[i] {
                                 accumulate_ref(&mut grads, a, &g);
                             } else {
                                 accumulate(&mut grads, a, g.reduce_to_shape(&shapes[a]));
                             }
-                            if reuse && shapes[b] == shapes[i] {
+                            if shapes[b] == shapes[i] {
                                 accumulate(&mut grads, b, g); // final edge: move, not clone
                             } else {
                                 accumulate(&mut grads, b, g.reduce_to_shape(&shapes[b]));
                             }
                         }
                         (true, false) => {
-                            if reuse && shapes[a] == shapes[i] {
+                            if shapes[a] == shapes[i] {
                                 accumulate(&mut grads, a, g);
                             } else {
                                 accumulate(&mut grads, a, g.reduce_to_shape(&shapes[a]));
                             }
                         }
                         (false, true) => {
-                            if reuse && shapes[b] == shapes[i] {
+                            if shapes[b] == shapes[i] {
                                 accumulate(&mut grads, b, g);
                             } else {
                                 accumulate(&mut grads, b, g.reduce_to_shape(&shapes[b]));
@@ -1493,7 +1487,7 @@ impl ExecPlan {
                     // evaluating b's (which borrows g) first lets a's
                     // identity edge move g instead of cloning it.
                     if uf(b) && (a != b || !uf(a)) {
-                        if reuse && shapes[b] == shapes[i] {
+                        if shapes[b] == shapes[i] {
                             fused_scale_acc(&mut grads, b, &g, -1.0);
                         } else {
                             accumulate(
@@ -1503,7 +1497,7 @@ impl ExecPlan {
                             );
                         }
                         if uf(a) {
-                            if reuse && shapes[a] == shapes[i] {
+                            if shapes[a] == shapes[i] {
                                 accumulate(&mut grads, a, g);
                             } else {
                                 accumulate(&mut grads, a, g.reduce_to_shape(&shapes[a]));
@@ -1512,14 +1506,14 @@ impl ExecPlan {
                     } else {
                         // a == b (or only a useful): keep interpreter order.
                         if uf(a) {
-                            if reuse && shapes[a] == shapes[i] {
+                            if shapes[a] == shapes[i] {
                                 accumulate_ref(&mut grads, a, &g);
                             } else {
                                 accumulate(&mut grads, a, g.reduce_to_shape(&shapes[a]));
                             }
                         }
                         if uf(b) {
-                            if reuse && shapes[b] == shapes[i] {
+                            if shapes[b] == shapes[i] {
                                 fused_scale_acc(&mut grads, b, &g, -1.0);
                             } else {
                                 accumulate(
@@ -1533,8 +1527,7 @@ impl ExecPlan {
                 }
                 Op::Mul(a, b) => {
                     let (a, b) = (*a, *b);
-                    if reuse && shapes[a] == shapes[i] && shapes[b] == shapes[i]
-                    {
+                    if shapes[a] == shapes[i] && shapes[b] == shapes[i] {
                         if uf(a) {
                             fused_mul_acc(&mut grads, a, &g, self.value(values, store, inputs, b));
                         }
@@ -1558,8 +1551,7 @@ impl ExecPlan {
                 }
                 Op::Div(a, b) => {
                     let (a, b) = (*a, *b);
-                    if reuse && shapes[a] == shapes[i] && shapes[b] == shapes[i]
-                    {
+                    if shapes[a] == shapes[i] && shapes[b] == shapes[i] {
                         if uf(a) {
                             fused_map2(
                                 &mut grads,
@@ -1597,57 +1589,27 @@ impl ExecPlan {
                         }
                     }
                 }
-                Op::Neg(a) => {
-                    if reuse {
-                        fused_scale_acc(&mut grads, *a, &g, -1.0);
-                    } else {
-                        accumulate(&mut grads, *a, g.scale(-1.0));
-                    }
-                }
-                Op::Scale(a, c) => {
-                    let c = *c;
-                    if reuse {
-                        fused_scale_acc(&mut grads, *a, &g, c);
-                    } else {
-                        accumulate(&mut grads, *a, g.scale(c));
-                    }
-                }
+                Op::Neg(a) => fused_scale_acc(&mut grads, *a, &g, -1.0),
+                Op::Scale(a, c) => fused_scale_acc(&mut grads, *a, &g, *c),
                 Op::AddScalar(a, _) => accumulate(&mut grads, *a, g),
                 Op::PowF(a, p) => {
                     let p = *p;
                     let av = self.value(values, store, inputs, *a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, move |gv, v| {
-                            gv * (p * v.powf(p - 1.0))
-                        });
-                    } else {
-                        let dg = g.mul(&av.map(|v| p * v.powf(p - 1.0)));
-                        accumulate(&mut grads, *a, dg);
-                    }
+                    fused_map2(&mut grads, *a, &g, av, move |gv, v| {
+                        gv * (p * v.powf(p - 1.0))
+                    });
                 }
                 Op::Exp(a) => {
                     let y = self.value(values, store, inputs, i);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, y, |gv, y| gv * y);
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(y));
-                    }
+                    fused_map2(&mut grads, *a, &g, y, |gv, y| gv * y);
                 }
                 Op::Ln(a) => {
                     let av = self.value(values, store, inputs, *a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, |gv, v| gv / v);
-                    } else {
-                        accumulate(&mut grads, *a, g.div(av));
-                    }
+                    fused_map2(&mut grads, *a, &g, av, |gv, v| gv / v);
                 }
                 Op::Sqrt(a) => {
                     let y = self.value(values, store, inputs, i);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, y, |gv, y| gv / (y * 2.0));
-                    } else {
-                        accumulate(&mut grads, *a, g.div(&y.scale(2.0)));
-                    }
+                    fused_map2(&mut grads, *a, &g, y, |gv, y| gv / (y * 2.0));
                 }
                 Op::Abs(a) => {
                     let sign = |v: f32| {
@@ -1660,56 +1622,34 @@ impl ExecPlan {
                         }
                     };
                     let av = self.value(values, store, inputs, *a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, |gv, v| gv * sign(v));
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(&av.map(sign)));
-                    }
+                    fused_map2(&mut grads, *a, &g, av, |gv, v| gv * sign(v));
                 }
                 Op::Relu(a) => {
                     let av = self.value(values, store, inputs, *a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, |gv, v| {
-                            gv * if v > 0.0 { 1.0 } else { 0.0 }
-                        });
-                    } else {
-                        let mask = av.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                        accumulate(&mut grads, *a, g.mul(&mask));
-                    }
+                    fused_map2(&mut grads, *a, &g, av, |gv, v| {
+                        gv * if v > 0.0 { 1.0 } else { 0.0 }
+                    });
                 }
                 Op::LeakyRelu(a, slope) => {
                     let s = *slope;
                     let av = self.value(values, store, inputs, *a);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, av, move |gv, v| {
-                            gv * if v > 0.0 { 1.0 } else { s }
-                        });
-                    } else {
-                        let mask = av.map(|v| if v > 0.0 { 1.0 } else { s });
-                        accumulate(&mut grads, *a, g.mul(&mask));
-                    }
+                    fused_map2(&mut grads, *a, &g, av, move |gv, v| {
+                        gv * if v > 0.0 { 1.0 } else { s }
+                    });
                 }
                 Op::Sigmoid(a) => {
                     let y = self.value(values, store, inputs, i);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, y, |gv, y| gv * (y * (1.0 - y)));
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(&y.mul(&y.map(|v| 1.0 - v))));
-                    }
+                    fused_map2(&mut grads, *a, &g, y, |gv, y| gv * (y * (1.0 - y)));
                 }
                 Op::Tanh(a) => {
                     let y = self.value(values, store, inputs, i);
-                    if reuse {
-                        fused_map2(&mut grads, *a, &g, y, |gv, y| gv * (1.0 - y * y));
-                    } else {
-                        accumulate(&mut grads, *a, g.mul(&y.map(|v| 1.0 - v * v)));
-                    }
+                    fused_map2(&mut grads, *a, &g, y, |gv, y| gv * (1.0 - y * y));
                 }
                 Op::MatMul(a, b) => {
                     let (a, b) = (*a, *b);
                     if uf(a) {
                         let ga = g.matmul_nt(self.value(values, store, inputs, b));
-                        let ga = if reuse && ga.shape() == &shapes[a][..] {
+                        let ga = if ga.shape() == &shapes[a][..] {
                             ga
                         } else {
                             ga.reduce_to_shape(&shapes[a])
@@ -1718,7 +1658,7 @@ impl ExecPlan {
                     }
                     if uf(b) {
                         let gb = self.value(values, store, inputs, a).matmul_tn(&g);
-                        let gb = if reuse && gb.shape() == &shapes[b][..] {
+                        let gb = if gb.shape() == &shapes[b][..] {
                             gb
                         } else {
                             gb.reduce_to_shape(&shapes[b])
@@ -1814,7 +1754,7 @@ impl ExecPlan {
                         // guard); the shared panel holds the same values
                         // each member would build privately, so bits match.
                         let dw = match self.conv_group[i] {
-                            Some(gid) if reuse && t_out < crate::gemm::NR => {
+                            Some(gid) if t_out < crate::gemm::NR => {
                                 let k = shapes[weight][2];
                                 if !dw_panels.iter().any(|(g2, _)| *g2 == gid) {
                                     dw_panels.push((

@@ -48,18 +48,13 @@
 //! no computation order depends on whether a buffer came from the free
 //! list or the allocator (alignment only shifts which *addresses* a loop
 //! touches, never the arithmetic sequence). `tests/pool_determinism.rs`
-//! asserts a full train step is bitwise identical with pooling on and
-//! off, at 1 and 4 threads.
+//! asserts a full train step is bitwise identical at 1 and 4 threads.
 //!
-//! Pooling is on by default; set `URCL_POOL=0` to disable it at process
-//! start, or call [`set_pooling`] at runtime (benches toggle it to
-//! measure the pooling-off baseline in the same process). The toggle
-//! governs the whole memory-reuse path: with pooling off [`take_uninit`]
-//! degrades to plain `vec![0.0; len]` storage and the backward pass also
-//! falls back from the fused in-place accumulators to the seed-style
-//! materialize-a-temporary-then-accumulate kernels, so the "off" setting
-//! reproduces the pre-pool allocation behaviour end to end (with
-//! identical arithmetic, hence identical bits).
+//! Pooling is unconditional: there is one memory path. The backward pass
+//! accumulates into pooled gradient buffers in place, and the GEMM
+//! lowerings of thin products and convolutions rely on pooled packing
+//! panels. The only runtime knob is the test-time NaN poison
+//! ([`set_pool_poison`]), which is the oracle for buffer lifetimes.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
@@ -68,7 +63,6 @@ use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Byte alignment of pool-allocated buffers (one AVX2 `__m256` register).
 pub const ALIGN: usize = 32;
@@ -275,9 +269,6 @@ impl std::fmt::Debug for Buffer {
     }
 }
 
-/// Pooling state: 0 = unset (read env on first use), 1 = on, 2 = off.
-static POOLING: AtomicUsize = AtomicUsize::new(0);
-
 /// Cumulative counters (process-global; free lists are thread-local).
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
@@ -288,39 +279,6 @@ static PEAK_LIVE_F32: AtomicU64 = AtomicU64::new(0);
 thread_local! {
     /// Free buffers of this thread, keyed by exact length.
     static FREE: RefCell<HashMap<usize, Vec<Buffer>>> = RefCell::new(HashMap::new());
-}
-
-fn pooling_from_env() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("URCL_POOL") {
-        Ok(v) if v.trim() == "0" || v.trim().eq_ignore_ascii_case("off") => 2,
-        _ => 1,
-    })
-}
-
-/// Whether buffer pooling is currently active.
-#[inline]
-pub fn pooling_enabled() -> bool {
-    match POOLING.load(Ordering::Relaxed) {
-        0 => {
-            let v = pooling_from_env();
-            POOLING.store(v, Ordering::Relaxed);
-            v == 1
-        }
-        v => v == 1,
-    }
-}
-
-/// Turns pooling on or off at runtime, returning the previous setting.
-/// Intended for benches and determinism tests; normal runs use the
-/// `URCL_POOL` environment variable. Off also selects the unfused
-/// (materialize-then-accumulate) backward kernels — see the module docs.
-/// Turning pooling off does not drop buffers already cached; call
-/// [`trim_thread_pool`] for that.
-pub fn set_pooling(on: bool) -> bool {
-    let prev = pooling_enabled();
-    POOLING.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-    prev
 }
 
 /// Poison state: 0 = off (default), 1 = on. Test-only; no env var.
@@ -469,14 +427,6 @@ fn take(len: usize, zero: bool) -> Buffer {
     if len == 0 {
         return Buffer::new();
     }
-    if !pooling_enabled() {
-        // Seed-era behaviour: a plain zeroed Vec allocation per request.
-        let mut b = Buffer::from_vec(vec![0.0; len]);
-        if !zero && pool_poison_enabled() {
-            b.fill(f32::NAN);
-        }
-        return b;
-    }
     let recycled = FREE.with(|f| {
         f.borrow_mut()
             .get_mut(&len)
@@ -504,11 +454,11 @@ fn take(len: usize, zero: bool) -> Buffer {
 }
 
 /// Returns a buffer to the current thread's free list for reuse by a
-/// later same-length [`take_uninit`]/[`take_zeroed`]. Empty buffers and
-/// buffers recycled while pooling is off are simply dropped.
+/// later same-length [`take_uninit`]/[`take_zeroed`]. Empty buffers are
+/// simply dropped.
 pub fn recycle(mut b: Buffer) {
     let len = b.len();
-    if len == 0 || !pooling_enabled() {
+    if len == 0 {
         return;
     }
     if pool_poison_enabled() {
@@ -517,8 +467,8 @@ pub fn recycle(mut b: Buffer) {
         b.fill(f32::NAN);
     }
     BYTES_RECYCLED.fetch_add(4 * len as u64, Ordering::Relaxed);
-    // Saturating: a buffer taken before a counter reset (or while pooling
-    // was off) must not wrap the live gauge below zero.
+    // Saturating: a buffer taken before a counter reset (or adopted from
+    // a caller's `Vec`) must not wrap the live gauge below zero.
     let _ = LIVE_F32.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
         Some(live.saturating_sub(len as u64))
     });
@@ -531,7 +481,7 @@ mod tests {
 
     /// Serializes tests in this module: counters are process-global.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<std::sync::Mutex<()>> = OnceLock::new();
+        static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
         LOCK.get_or_init(|| std::sync::Mutex::new(()))
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -540,7 +490,6 @@ mod tests {
     #[test]
     fn recycled_buffer_is_reused() {
         let _guard = lock();
-        let prev = set_pooling(true);
         trim_thread_pool();
         reset_buffer_pool_stats();
         let a = take_uninit(128);
@@ -554,39 +503,33 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.bytes_recycled, 4 * 128);
         recycle(b);
-        set_pooling(prev);
     }
 
     #[test]
     fn lengths_never_cross_buckets() {
         let _guard = lock();
-        let prev = set_pooling(true);
         trim_thread_pool();
         reset_buffer_pool_stats();
         recycle(take_uninit(64));
         let v = take_uninit(63);
         assert_eq!(v.len(), 63);
         assert_eq!(buffer_pool_stats().hits, 0, "63 must not hit the 64 bucket");
-        set_pooling(prev);
     }
 
     #[test]
     fn zeroed_hand_out_is_clean() {
         let _guard = lock();
-        let prev = set_pooling(true);
         trim_thread_pool();
         let mut v = take_uninit(16);
         v.fill(7.5);
         recycle(v);
         let z = take_zeroed(16);
         assert!(z.iter().all(|&x| x == 0.0));
-        set_pooling(prev);
     }
 
     #[test]
     fn pool_allocations_are_aligned() {
         let _guard = lock();
-        let prev = set_pooling(true);
         trim_thread_pool();
         for len in [1, 7, 32, 100, 4096] {
             let b = take_uninit(len);
@@ -594,7 +537,6 @@ mod tests {
             assert_eq!((b.as_ptr() as usize) % ALIGN, 0);
             recycle(b);
         }
-        set_pooling(prev);
     }
 
     #[test]
@@ -608,31 +550,15 @@ mod tests {
         let back = b.into_vec();
         assert_eq!(back.as_ptr(), ptr, "Vec-backed into_vec must not copy");
         // Aligned pool block: into_vec copies but preserves contents.
-        let prev = set_pooling(true);
         trim_thread_pool();
         let mut a = take_uninit(4);
         a.copy_from_slice(&[4.0, 5.0, 6.0, 7.0]);
         assert_eq!(a.into_vec(), vec![4.0, 5.0, 6.0, 7.0]);
-        set_pooling(prev);
-    }
-
-    #[test]
-    fn disabled_pool_allocates_and_counts_nothing() {
-        let _guard = lock();
-        let prev = set_pooling(false);
-        reset_buffer_pool_stats();
-        let v = take_zeroed(32);
-        assert_eq!(&v[..], &vec![0.0f32; 32][..]);
-        recycle(v);
-        let stats = buffer_pool_stats();
-        assert_eq!((stats.hits, stats.misses, stats.bytes_recycled), (0, 0, 0));
-        set_pooling(prev);
     }
 
     #[test]
     fn live_gauge_tracks_outstanding_and_saturates() {
         let _guard = lock();
-        let prev = set_pooling(true);
         trim_thread_pool();
         reset_buffer_pool_stats();
         let a = take_uninit(100);
@@ -644,25 +570,21 @@ mod tests {
         reset_buffer_pool_stats();
         recycle(b); // taken before the reset: must saturate, not wrap
         assert_eq!(buffer_pool_stats().live_f32, 0);
-        set_pooling(prev);
     }
 
     #[test]
     fn trim_releases_cached_buffers() {
         let _guard = lock();
-        let prev = set_pooling(true);
         trim_thread_pool();
         recycle(take_uninit(256));
         assert_eq!(thread_pool_resident_f32(), 256);
         trim_thread_pool();
         assert_eq!(thread_pool_resident_f32(), 0);
-        set_pooling(prev);
     }
 
     #[test]
     fn trim_excess_drops_largest_buckets_first() {
         let _guard = lock();
-        let prev = set_pooling(true);
         trim_thread_pool();
         recycle(take_uninit(64));
         recycle(take_uninit(512));
@@ -676,6 +598,5 @@ mod tests {
         assert_eq!(thread_pool_resident_f32(), 192);
         trim_excess(0);
         assert_eq!(thread_pool_resident_f32(), 0);
-        set_pooling(prev);
     }
 }

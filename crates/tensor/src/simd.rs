@@ -103,8 +103,8 @@ pub fn simd_enabled() -> bool {
 }
 
 /// Turns the SIMD arms on or off at runtime, returning the previous
-/// setting — the `URCL_POOL`-style toggle benches flip to measure both
-/// paths in one process. Normal runs use the `URCL_SIMD` env variable.
+/// setting — the toggle benches and parity tests flip to run both paths
+/// in one process. Normal runs use the `URCL_SIMD` env variable.
 pub fn set_simd(on: bool) -> bool {
     let prev = simd_enabled();
     SIMD.store(if on { 1 } else { 2 }, Ordering::Relaxed);

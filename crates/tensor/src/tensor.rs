@@ -27,18 +27,9 @@ pub struct Tensor {
 
 impl Clone for Tensor {
     fn clone(&self) -> Self {
-        // With pooling off this is a plain alloc + memcpy (seed-era
-        // behaviour); going through `take_uninit` there would add a
-        // wasted memset.
-        let data = if pool::pooling_enabled() {
-            let mut data = pool::take_uninit(self.data.len());
-            data.copy_from_slice(&self.data);
-            data
-        } else {
-            pool::Buffer::from_vec(self.data.to_vec())
-        };
+        // `Buffer::clone` copies into a pooled, recyclable block.
         Tensor {
-            data,
+            data: self.data.clone(),
             shape: self.shape.clone(),
         }
     }
@@ -830,10 +821,10 @@ impl Tensor {
 
         // Short-row convolutions (dilated stacks shrink t_out to a
         // handful of steps) spend more time on per-tap slice setup than
-        // on arithmetic. With pooling on, lower them to one GEMM over a
-        // pooled im2col panel instead; see `conv1d_im2col` for why the
+        // on arithmetic. Lower them to one GEMM over a pooled im2col
+        // panel instead; see `conv1d_im2col` for why the
         // result is bitwise identical to the direct kernel below.
-        if pool::pooling_enabled() && t_out < crate::gemm::NR && cin * k <= crate::gemm::KC {
+        if t_out < crate::gemm::NR && cin * k <= crate::gemm::KC {
             self.conv1d_im2col(weight, dilation, pad_left, t_out, &mut out);
             return Tensor {
                 data: out,

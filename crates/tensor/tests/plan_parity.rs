@@ -16,19 +16,19 @@
 //! across {scalar, fast, forced-intrinsics} × {1, 4 threads}. The conv
 //! programs cover share-group panel reuse and ConvBias fusion with
 //! `pad_left > 0`, `pad_left == 0`, and guard-failing shapes (wide
-//! `t_out`, deep `cin*k`) that must fall back to the unshared kernels —
-//! plus a pooling-off run where panel sharing is disabled entirely.
+//! `t_out`, deep `cin*k`) that must fall back to the unshared direct
+//! kernels.
 //!
-//! [`set_simd`]/[`set_pooling`]/[`set_threads`] mutate process-global
-//! state, so every test serializes on a file-local mutex and restores
-//! what it changed.
+//! [`set_simd`]/[`set_threads`] mutate process-global state, so every
+//! test serializes on a file-local mutex and restores what it changed.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use urcl_tensor::autodiff::{Session, Tape, Var};
+use urcl_tensor::gemm::{KC, NR};
 use urcl_tensor::simd::set_force_intrinsics;
 use urcl_tensor::{
-    set_pooling, set_simd, set_threads, Adam, ExecPlan, Optimizer, ParamId, ParamStore, PlanSpec,
+    set_simd, set_threads, Adam, ExecPlan, Optimizer, ParamId, ParamStore, PlanSpec,
     Rng, Tensor,
 };
 
@@ -325,7 +325,6 @@ fn conv_prog(
 #[test]
 fn mixed_graph_parity_over_architecture_churn() {
     let _guard = lock();
-    let prev_pool = set_pooling(true);
     let mut rng = Rng::seed_from_u64(0x9_1A_0001);
 
     check_prog(&mixed_prog("fixed", 3, 4, 6, &mut rng), &mut rng);
@@ -336,22 +335,21 @@ fn mixed_graph_parity_over_architecture_churn() {
         let d = 1 + (rng.next_u64() % 7) as usize;
         check_prog(&mixed_prog(&format!("churn{i}"), b, t, d, &mut rng), &mut rng);
     }
-
-    set_pooling(prev_pool);
 }
 
 #[test]
 fn conv_share_group_and_bias_fusion_parity() {
     let _guard = lock();
-    let prev_pool = set_pooling(true);
     let mut rng = Rng::seed_from_u64(0x9_1A_0002);
 
     // Guard-passing gated pairs: causal pad, deeper dilation, zero pad.
     check_prog(&conv_prog("gated", true, 3, 4, 10, 5, 2, 1, 1, &mut rng), &mut rng);
     check_prog(&conv_prog("gated", true, 2, 3, 9, 4, 3, 2, 4, &mut rng), &mut rng);
     check_prog(&conv_prog("gated-p0", true, 2, 3, 8, 4, 2, 1, 0, &mut rng), &mut rng);
-    // Guard-failing shapes: t_out >= 32 (panel wider than one GEMM
-    // microtile) and cin*k > 256 (panel deeper than one GEMM K block).
+    // Guard-failing shapes: t_out >= NR (panel wider than one GEMM
+    // microtile) and cin*k > KC (panel deeper than one GEMM K block), so
+    // both engines run the direct conv kernels.
+    assert!(40 >= NR && 130 * 2 > KC, "wide/deep cases must miss the panel guard");
     check_prog(&conv_prog("wide", true, 2, 3, 40, 4, 2, 1, 1, &mut rng), &mut rng);
     check_prog(&conv_prog("deep", true, 2, 130, 6, 4, 2, 1, 1, &mut rng), &mut rng);
     // Singleton conv: no share group to exploit.
@@ -370,17 +368,4 @@ fn conv_share_group_and_bias_fusion_parity() {
             &mut rng,
         );
     }
-
-    set_pooling(prev_pool);
-}
-
-#[test]
-fn conv_parity_with_pooling_off() {
-    let _guard = lock();
-    // Pooling off disables panel sharing entirely; the plan must still
-    // match the interpreter bit for bit through the fallback kernels.
-    let prev_pool = set_pooling(false);
-    let mut rng = Rng::seed_from_u64(0x9_1A_0003);
-    check_prog(&conv_prog("no-pool", true, 2, 4, 10, 4, 2, 1, 1, &mut rng), &mut rng);
-    set_pooling(prev_pool);
 }

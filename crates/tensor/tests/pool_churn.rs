@@ -10,20 +10,11 @@
 //!    unique tag and must still hold it when everything else has been
 //!    churned in between.
 //!
-//! The pool's free lists are thread-local and [`set_pooling`] is process
-//! global, so tests serialize on a file-local mutex.
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
+//! The pool's free lists are thread-local, so each test churns its own
+//! lists and the tests need no serialization.
 
 use urcl_tensor::pool::{recycle, take_uninit, take_zeroed, trim_thread_pool};
-use urcl_tensor::{set_pooling, Rng, Tensor};
-
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
+use urcl_tensor::{Rng, Tensor};
 
 /// Lengths deliberately collide (several repeats) so buckets see real
 /// reuse, and range from tiny to larger-than-grain.
@@ -46,8 +37,6 @@ fn assert_tagged(buf: &[f32], tag: f32, len: usize) {
 
 #[test]
 fn churned_buffers_keep_exact_lengths_and_never_alias() {
-    let _guard = lock();
-    let prev = set_pooling(true);
     trim_thread_pool();
 
     let mut rng = Rng::seed_from_u64(0x5EED_7);
@@ -87,7 +76,6 @@ fn churned_buffers_keep_exact_lengths_and_never_alias() {
     }
 
     trim_thread_pool();
-    set_pooling(prev);
 }
 
 /// The same aliasing property one level up: pool-backed [`Tensor`] clones
@@ -95,8 +83,6 @@ fn churned_buffers_keep_exact_lengths_and_never_alias() {
 /// old contents visible through later allocations of a different shape.
 #[test]
 fn tensor_clones_stay_independent_under_churn() {
-    let _guard = lock();
-    let prev = set_pooling(true);
 
     let mut rng = Rng::seed_from_u64(0x5EED_8);
     for _ in 0..300 {
@@ -113,6 +99,4 @@ fn tensor_clones_stay_independent_under_churn() {
         drop(churn);
         assert_eq!(original.data(), &reference[..], "clone aliased its source");
     }
-
-    set_pooling(prev);
 }

@@ -19,16 +19,15 @@
 //! through a real tape), and the elementwise fast paths (permute,
 //! broadcast zip, axis reductions).
 //!
-//! [`set_simd`]/[`set_pooling`]/[`set_threads`] mutate process-global
-//! state, so every test serializes on a file-local mutex and restores
-//! what it changed.
+//! [`set_simd`]/[`set_threads`] mutate process-global state, so every
+//! test serializes on a file-local mutex and restores what it changed.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use urcl_tensor::autodiff::{Session, Tape};
 use urcl_tensor::gemm::gemm_strided;
 use urcl_tensor::simd::set_force_intrinsics;
-use urcl_tensor::{set_pooling, set_simd, set_threads, ParamStore, Rng};
+use urcl_tensor::{set_simd, set_threads, ParamStore, Rng};
 
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -67,7 +66,6 @@ fn assert_three_way_parity(label: &str, f: impl Fn() -> Vec<Vec<f32>>) {
 #[test]
 fn gemm_strided_parity_over_shape_and_layout_churn() {
     let _guard = lock();
-    let prev_pool = set_pooling(true);
     let prev_threads = set_threads(1);
 
     let mut rng = Rng::seed_from_u64(0x51_3D);
@@ -116,13 +114,11 @@ fn gemm_strided_parity_over_shape_and_layout_churn() {
     }
 
     set_threads(prev_threads);
-    set_pooling(prev_pool);
 }
 
 #[test]
 fn conv1d_forward_and_backward_parity() {
     let _guard = lock();
-    let prev_pool = set_pooling(true);
     let prev_threads = set_threads(1);
 
     let mut rng = Rng::seed_from_u64(0xC0_71);
@@ -164,13 +160,11 @@ fn conv1d_forward_and_backward_parity() {
     }
 
     set_threads(prev_threads);
-    set_pooling(prev_pool);
 }
 
 #[test]
 fn elementwise_fast_path_parity_over_stride_churn() {
     let _guard = lock();
-    let prev_pool = set_pooling(true);
     let prev_threads = set_threads(1);
 
     let mut rng = Rng::seed_from_u64(0xE1E);
@@ -230,5 +224,4 @@ fn elementwise_fast_path_parity_over_stride_churn() {
     }
 
     set_threads(prev_threads);
-    set_pooling(prev_pool);
 }

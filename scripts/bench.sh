@@ -19,9 +19,9 @@
 # per-tenant p50/p95/p99, shed and cache counters, the wire floor and the
 # steal-duel gates, re-validated by validate_json), and bench_train_step,
 # which measures end-to-end training-step throughput over {1,4} threads
-# x {pooling off, pooling on, pooling + SIMD, pooling + SIMD + compiled
-# plan} plus the paper-default SSL plan duel and a batch-polymorphism
-# check, and writes BENCH_train_step.json (schema urcl-bench-train-v5).
+# x {scalar, SIMD, SIMD + compiled plan} plus paired plan, paper-default
+# SSL plan and 1t-vs-4t thread duels and a batch-polymorphism check, and
+# writes BENCH_train_step.json (schema urcl-bench-train-v5).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 cargo build --release --offline -p urcl-bench

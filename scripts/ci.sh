@@ -100,12 +100,13 @@ fi
 echo "== traced framework run =="
 ./target/release/bench_framework --quick --trace BENCH_trace.json
 
-echo "== train-step throughput smoke (pooling/SIMD/plan determinism) =="
+echo "== train-step throughput smoke (SIMD/plan/thread determinism) =="
 # Quick schedule: asserts bitwise-identical losses across all
-# (threads, pooling, simd, plan) cells, zero steady-state pool misses,
-# the SIMD speedup gate, the plan duels (task-only and paper-default
-# augmented-SSL, both >= 1.15x), the one-poly-plan-many-batch-sizes
-# zero-recompile check and the host-aware thread-scaling gate.
+# (threads, simd, plan) cells, zero steady-state pool misses in every
+# cell, the SIMD speedup gate, the plan duels (task-only and
+# paper-default augmented-SSL, both >= 1.15x), the
+# one-poly-plan-many-batch-sizes zero-recompile check and the host-aware
+# thread-scaling gate (a paired 1t-vs-4t duel).
 ./target/release/bench_train_step --quick
 
 echo "== JSON round-trip + trace schema validation =="
