@@ -4,7 +4,17 @@
 //! [`Tape::backward`] walks the tape in reverse, applying one hand-written
 //! backward rule per variant. Compared to closure-captured backward
 //! functions this keeps every rule inspectable and testable — each one is
-//! verified against numerical differentiation in `gradcheck` tests.
+//! verified against numerical differentiation by the `gradcheck` table,
+//! which covers every op kind and every broadcast and self edge.
+//!
+//! `Op` is the single source of per-op facts: its forward
+//! (`Op::eval`, [`Unary::apply`]), its gradient rule (`Op::backward`)
+//! and the forward values that rule reads (`Op::grad_reads`). The
+//! interpreter here and the compiled plan engine ([`crate::plan`]) are
+//! two schedulers over those calls: the interpreter evaluates every
+//! edge and keeps every value, the plan skips dead edges and frees each
+//! value after its last reader. The interpreter is the bitwise oracle
+//! the plan is pinned against (`URCL_PLAN=0`).
 //!
 //! Variables ([`Var`]) are `Copy` indices into the tape, so expression code
 //! reads naturally:
@@ -30,6 +40,12 @@ use std::cell::RefCell;
 /// recorded structure (indices and metadata, scalar constants bitwise via
 /// `f32` equality) — the plan compiler uses it to check that two
 /// recordings of the same step graph are op-for-op identical.
+///
+/// Every per-op fact lives on this type and is written once: the forward
+/// (`Op::eval`, with [`Unary::apply`] as the per-element forward of the
+/// elementwise ops), the gradient rule (`Op::backward`) and the list of
+/// forward values that rule reads (`Op::grad_reads`). The tape
+/// interpreter and the plan engine only schedule these calls.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Trainable input: receives a gradient slot.
@@ -44,30 +60,8 @@ pub enum Op {
     Mul(usize, usize),
     /// Broadcasting elementwise `a / b`.
     Div(usize, usize),
-    /// Elementwise negation `-a`.
-    Neg(usize),
-    /// Multiplication by a compile-time scalar: `a * c`.
-    Scale(usize, f32),
-    /// Addition of a compile-time scalar: `a + c`.
-    AddScalar(usize, f32),
-    /// Elementwise power with a scalar exponent: `a^c`.
-    PowF(usize, f32),
-    /// Elementwise `exp(a)`.
-    Exp(usize),
-    /// Elementwise natural logarithm `ln(a)`.
-    Ln(usize),
-    /// Elementwise square root.
-    Sqrt(usize),
-    /// Elementwise absolute value (subgradient 0 at the kink).
-    Abs(usize),
-    /// Rectified linear unit `max(a, 0)`.
-    Relu(usize),
-    /// Leaky ReLU with the given negative-side slope.
-    LeakyRelu(usize, f32),
-    /// Logistic sigmoid `1 / (1 + exp(-a))`.
-    Sigmoid(usize),
-    /// Hyperbolic tangent.
-    Tanh(usize),
+    /// Unary elementwise op applied to every element of `a`.
+    Unary(usize, Unary),
     /// Batched matrix product over the two trailing axes.
     MatMul(usize, usize),
     /// Axis permutation (generalised transpose); the `Vec` is the
@@ -126,6 +120,105 @@ pub enum Op {
     Detach(usize),
 }
 
+/// A unary elementwise op, the payload of [`Op::Unary`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Unary {
+    /// Negation `-a`.
+    Neg,
+    /// Multiplication by a compile-time scalar: `a * c`.
+    Scale(f32),
+    /// Addition of a compile-time scalar: `a + c`.
+    AddScalar(f32),
+    /// Power with a scalar exponent: `a^c`.
+    PowF(f32),
+    /// `exp(a)`.
+    Exp,
+    /// Natural logarithm `ln(a)`.
+    Ln,
+    /// Square root.
+    Sqrt,
+    /// Absolute value (subgradient 0 at the kink).
+    Abs,
+    /// Rectified linear unit `max(a, 0)`.
+    Relu,
+    /// Leaky ReLU with the given negative-side slope.
+    LeakyRelu(f32),
+    /// Logistic sigmoid `1 / (1 + exp(-a))`.
+    Sigmoid,
+    /// Hyperbolic tangent.
+    Tanh,
+}
+
+impl Unary {
+    /// The per-element forward. Every path that evaluates the op — tape
+    /// recording, the plan's unfused eval and its fused multi-stage runs —
+    /// computes exactly this and rounds to `f32` per stage, so all paths
+    /// agree bitwise.
+    #[inline(always)]
+    pub fn apply(self, v: f32) -> f32 {
+        match self {
+            Unary::Neg => v * -1.0,
+            Unary::Scale(c) => v * c,
+            Unary::AddScalar(c) => v + c,
+            Unary::PowF(p) => v.powf(p),
+            Unary::Exp => v.exp(),
+            Unary::Ln => v.ln(),
+            Unary::Sqrt => v.sqrt(),
+            Unary::Abs => v.abs(),
+            Unary::Relu => v.max(0.0),
+            Unary::LeakyRelu(s) => {
+                if v > 0.0 {
+                    v
+                } else {
+                    s * v
+                }
+            }
+            Unary::Sigmoid => 1.0 / (1.0 + (-v).exp()),
+            Unary::Tanh => v.tanh(),
+        }
+    }
+
+    /// Whole-tensor forward. `Neg`/`Scale`/`AddScalar` go through their
+    /// SIMD `Tensor` methods (`v * c` and `v + c` per element, the same
+    /// bits as [`Unary::apply`]); the rest map [`Unary::apply`] with one
+    /// arm per variant, so each closure is monomorphic and vectorizes
+    /// instead of dispatching on the variant per element.
+    fn eval(self, a: &Tensor) -> Tensor {
+        match self {
+            Unary::Neg => a.scale(-1.0),
+            Unary::Scale(c) => a.scale(c),
+            Unary::AddScalar(c) => a.add_scalar(c),
+            Unary::PowF(p) => a.map(move |v| Unary::PowF(p).apply(v)),
+            Unary::Exp => a.map(|v| Unary::Exp.apply(v)),
+            Unary::Ln => a.map(|v| Unary::Ln.apply(v)),
+            Unary::Sqrt => a.map(|v| Unary::Sqrt.apply(v)),
+            Unary::Abs => a.map(|v| Unary::Abs.apply(v)),
+            Unary::Relu => a.map(|v| Unary::Relu.apply(v)),
+            Unary::LeakyRelu(s) => a.map(move |v| Unary::LeakyRelu(s).apply(v)),
+            Unary::Sigmoid => a.map(|v| Unary::Sigmoid.apply(v)),
+            Unary::Tanh => a.map(|v| Unary::Tanh.apply(v)),
+        }
+    }
+
+    /// Profile slot (see [`crate::opprof::OP_NAMES`]).
+    fn kind_index(self) -> usize {
+        match self {
+            Unary::Neg => 4,
+            Unary::Scale(_) => 5,
+            Unary::AddScalar(_) => 6,
+            Unary::PowF(_) => 7,
+            Unary::Exp => 8,
+            Unary::Ln => 9,
+            Unary::Sqrt => 10,
+            Unary::Abs => 11,
+            Unary::Relu => 12,
+            Unary::LeakyRelu(_) => 13,
+            Unary::Sigmoid => 14,
+            Unary::Tanh => 15,
+        }
+    }
+}
+
 /// Profile index of an op kind (aligned with [`crate::opprof::OP_NAMES`]);
 /// `None` for pure tape bookkeeping nodes.
 pub(crate) fn kind_index(op: &Op) -> Option<usize> {
@@ -135,18 +228,7 @@ pub(crate) fn kind_index(op: &Op) -> Option<usize> {
         Op::Sub(..) => 1,
         Op::Mul(..) => 2,
         Op::Div(..) => 3,
-        Op::Neg(..) => 4,
-        Op::Scale(..) => 5,
-        Op::AddScalar(..) => 6,
-        Op::PowF(..) => 7,
-        Op::Exp(..) => 8,
-        Op::Ln(..) => 9,
-        Op::Sqrt(..) => 10,
-        Op::Abs(..) => 11,
-        Op::Relu(..) => 12,
-        Op::LeakyRelu(..) => 13,
-        Op::Sigmoid(..) => 14,
-        Op::Tanh(..) => 15,
+        Op::Unary(_, u) => u.kind_index(),
         Op::MatMul(..) => 16,
         Op::Permute(..) => 17,
         Op::Reshape(..) => 18,
@@ -161,9 +243,417 @@ pub(crate) fn kind_index(op: &Op) -> Option<usize> {
     })
 }
 
+/// What a backward rule needs from the engine running it. The tape
+/// interpreter answers from its recorded nodes; the plan engine from its
+/// replay values, compile-time shapes and dead-edge analysis.
+/// [`Op::backward`] is generic over it, so each engine gets its own
+/// monomorphized copy of the rules (no dynamic dispatch per node).
+pub(crate) trait GradCtx {
+    /// Forward value of node `j`.
+    fn value(&self, j: usize) -> &Tensor;
+
+    /// Shape of node `j`'s forward value.
+    fn shape(&self, j: usize) -> &[usize];
+
+    /// Whether a gradient flowing into node `j` can reach a trainable
+    /// leaf. Edges into nodes that are not useful are never evaluated;
+    /// the interpreter evaluates every edge.
+    fn useful(&self, _j: usize) -> bool {
+        true
+    }
+
+    /// Weight gradient of the `Conv1d` node `i`. The plan engine
+    /// overrides it to share one im2col panel between sibling convs.
+    fn conv_dw(
+        &mut self,
+        _i: usize,
+        g: &Tensor,
+        input: usize,
+        weight: usize,
+        dilation: usize,
+        pad_left: usize,
+    ) -> Tensor {
+        conv1d_backward_dw(g, self.value(input), self.shape(weight), dilation, pad_left)
+    }
+}
+
+impl Op {
+    /// Appends the tape indices this op reads to `out`.
+    pub(crate) fn inputs(&self, out: &mut Vec<usize>) {
+        match self {
+            Op::Leaf | Op::Constant => {}
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) | Op::MatMul(a, b) => {
+                out.push(*a);
+                out.push(*b);
+            }
+            Op::Unary(a, _)
+            | Op::Permute(a, _)
+            | Op::Reshape(a)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::Softmax(a, _)
+            | Op::Detach(a) => out.push(*a),
+            Op::SumAxes { input, .. } | Op::Narrow { input, .. } => out.push(*input),
+            Op::Conv1d { input, weight, .. } => {
+                out.push(*input);
+                out.push(*weight);
+            }
+            Op::Concat { inputs, .. } => out.extend_from_slice(inputs),
+        }
+    }
+
+    /// The forward: evaluates the op over its inputs' values (`v(j)` is
+    /// node `j`'s value). `out_shape` is read only by `Reshape`; every
+    /// other op derives its shape from its inputs.
+    pub(crate) fn eval<'v>(&self, v: impl Fn(usize) -> &'v Tensor, out_shape: &[usize]) -> Tensor {
+        match self {
+            Op::Leaf | Op::Constant => unreachable!("source nodes are never evaluated"),
+            Op::Add(a, b) => v(*a).add(v(*b)),
+            Op::Sub(a, b) => v(*a).sub(v(*b)),
+            Op::Mul(a, b) => v(*a).mul(v(*b)),
+            Op::Div(a, b) => v(*a).div(v(*b)),
+            Op::Unary(a, u) => u.eval(v(*a)),
+            Op::MatMul(a, b) => v(*a).matmul(v(*b)),
+            Op::Permute(a, perm) => v(*a).permute(perm),
+            Op::Reshape(a) => v(*a).clone().reshape(out_shape),
+            Op::SumAxes {
+                input,
+                axes,
+                keepdim,
+            } => v(*input).sum_axes(axes, *keepdim),
+            Op::SumAll(a) => Tensor::scalar(v(*a).sum_all()),
+            Op::MeanAll(a) => Tensor::scalar(v(*a).mean_all()),
+            Op::Softmax(a, axis) => v(*a).softmax(*axis),
+            Op::Concat { inputs, axis } => {
+                let tensors: Vec<&Tensor> = inputs.iter().map(|&p| v(p)).collect();
+                Tensor::concat(&tensors, *axis)
+            }
+            Op::Narrow {
+                input,
+                axis,
+                start,
+                len,
+            } => v(*input).narrow(*axis, *start, *len),
+            Op::Conv1d {
+                input,
+                weight,
+                dilation,
+                pad_left,
+            } => v(*input).conv1d(v(*weight), *dilation, *pad_left),
+            Op::Detach(a) => v(*a).clone(),
+        }
+    }
+
+    /// The gradient rule: propagates node `i`'s gradient `g` into the
+    /// gradient slots of its useful inputs (`grads[j] (+)= ∂`). Slots are
+    /// written in a fixed order, so per-slot accumulation is the same in
+    /// every engine. Where two edges land in different slots the order
+    /// between them is free, which lets the last identity edge move `g`
+    /// instead of cloning it.
+    pub(crate) fn backward(
+        &self,
+        i: usize,
+        g: Tensor,
+        ctx: &mut impl GradCtx,
+        grads: &mut [Option<Tensor>],
+    ) {
+        match self {
+            // A source keeps its gradient: that slot is the result.
+            Op::Leaf | Op::Constant => grads[i] = Some(g),
+            Op::Add(a, b) => {
+                let (a, b) = (*a, *b);
+                if ctx.useful(a) && ctx.useful(b) {
+                    pass_ref(grads, a, &g, ctx.shape(a));
+                    pass(grads, b, g, ctx.shape(b)); // final edge: move, not clone
+                } else {
+                    let j = if ctx.useful(a) { a } else { b };
+                    pass(grads, j, g, ctx.shape(j));
+                }
+            }
+            Op::Sub(a, b) => {
+                let (a, b) = (*a, *b);
+                // With distinct inputs the two edges land in different
+                // slots, so b's edge (which borrows g) goes first and a's
+                // identity edge moves g. For `x - x` both land in one
+                // slot and keep the a-then-b order.
+                if ctx.useful(b) && (a != b || !ctx.useful(a)) {
+                    neg_pass(grads, b, &g, ctx.shape(b));
+                    if ctx.useful(a) {
+                        pass(grads, a, g, ctx.shape(a));
+                    }
+                } else {
+                    if ctx.useful(a) {
+                        pass_ref(grads, a, &g, ctx.shape(a));
+                    }
+                    if ctx.useful(b) {
+                        neg_pass(grads, b, &g, ctx.shape(b));
+                    }
+                }
+            }
+            Op::Mul(a, b) => {
+                let (a, b) = (*a, *b);
+                let same = ctx.shape(a) == g.shape() && ctx.shape(b) == g.shape();
+                if ctx.useful(a) {
+                    if same {
+                        fused_mul_acc(grads, a, &g, ctx.value(b));
+                    } else {
+                        accumulate(grads, a, g.mul(ctx.value(b)).reduce_to_shape(ctx.shape(a)));
+                    }
+                }
+                if ctx.useful(b) {
+                    if same {
+                        fused_mul_acc(grads, b, &g, ctx.value(a));
+                    } else {
+                        accumulate(grads, b, g.mul(ctx.value(a)).reduce_to_shape(ctx.shape(b)));
+                    }
+                }
+            }
+            Op::Div(a, b) => {
+                let (a, b) = (*a, *b);
+                let same = ctx.shape(a) == g.shape() && ctx.shape(b) == g.shape();
+                if ctx.useful(a) {
+                    if same {
+                        fused_map2(grads, a, &g, ctx.value(b), |gv, b| gv / b);
+                    } else {
+                        accumulate(grads, a, g.div(ctx.value(b)).reduce_to_shape(ctx.shape(a)));
+                    }
+                }
+                if ctx.useful(b) {
+                    let (av, bv) = (ctx.value(a), ctx.value(b));
+                    if same {
+                        // d/db (a/b) = -a / b^2, with the exact expression
+                        // tree of the broadcast arm's temporary chain.
+                        fused_map3(grads, b, &g, av, bv, |gv, a, b| ((gv * a) / (b * b)) * -1.0);
+                    } else {
+                        let gb = g.mul(av).div(&bv.mul(bv)).scale(-1.0);
+                        accumulate(grads, b, gb.reduce_to_shape(ctx.shape(b)));
+                    }
+                }
+            }
+            Op::Unary(a, u) => {
+                let a = *a;
+                match *u {
+                    Unary::Neg => fused_scale_acc(grads, a, &g, -1.0),
+                    Unary::Scale(c) => fused_scale_acc(grads, a, &g, c),
+                    Unary::AddScalar(_) => accumulate(grads, a, g),
+                    Unary::PowF(p) => fused_map2(grads, a, &g, ctx.value(a), move |gv, v| {
+                        gv * (p * v.powf(p - 1.0))
+                    }),
+                    Unary::Exp => fused_map2(grads, a, &g, ctx.value(i), |gv, y| gv * y),
+                    Unary::Ln => fused_map2(grads, a, &g, ctx.value(a), |gv, v| gv / v),
+                    // dy/dx = 1 / (2 sqrt(x)) = 1 / (2 y)
+                    Unary::Sqrt => fused_map2(grads, a, &g, ctx.value(i), |gv, y| gv / (y * 2.0)),
+                    Unary::Abs => {
+                        // Mask-multiply (not branch-select on g) so signed
+                        // zeros match `g * sign(x)` exactly.
+                        let sign = |v: f32| {
+                            if v > 0.0 {
+                                1.0
+                            } else if v < 0.0 {
+                                -1.0
+                            } else {
+                                0.0
+                            }
+                        };
+                        fused_map2(grads, a, &g, ctx.value(a), |gv, v| gv * sign(v));
+                    }
+                    Unary::Relu => fused_map2(grads, a, &g, ctx.value(a), |gv, v| {
+                        gv * if v > 0.0 { 1.0 } else { 0.0 }
+                    }),
+                    Unary::LeakyRelu(s) => fused_map2(grads, a, &g, ctx.value(a), move |gv, v| {
+                        gv * if v > 0.0 { 1.0 } else { s }
+                    }),
+                    Unary::Sigmoid => {
+                        fused_map2(grads, a, &g, ctx.value(i), |gv, y| gv * (y * (1.0 - y)));
+                    }
+                    Unary::Tanh => {
+                        fused_map2(grads, a, &g, ctx.value(i), |gv, y| gv * (1.0 - y * y));
+                    }
+                }
+            }
+            Op::MatMul(a, b) => {
+                let (a, b) = (*a, *b);
+                // Fused-transpose gemm: dA = dC @ B^T, dB = A^T @ dC,
+                // without materializing B^T / A^T copies. The
+                // reduce_to_shape (a full-tensor copy) only runs on
+                // broadcast edges.
+                if ctx.useful(a) {
+                    let ga = g.matmul_nt(ctx.value(b));
+                    let ga = if ga.shape() == ctx.shape(a) {
+                        ga
+                    } else {
+                        ga.reduce_to_shape(ctx.shape(a))
+                    };
+                    accumulate(grads, a, ga);
+                }
+                if ctx.useful(b) {
+                    let gb = ctx.value(a).matmul_tn(&g);
+                    let gb = if gb.shape() == ctx.shape(b) {
+                        gb
+                    } else {
+                        gb.reduce_to_shape(ctx.shape(b))
+                    };
+                    accumulate(grads, b, gb);
+                }
+            }
+            Op::Permute(a, perm) => {
+                let mut inv = vec![0usize; perm.len()];
+                for (i, &p) in perm.iter().enumerate() {
+                    inv[p] = i;
+                }
+                accumulate(grads, *a, g.permute(&inv));
+            }
+            Op::Reshape(a) => accumulate(grads, *a, g.reshape(ctx.shape(*a))),
+            Op::SumAxes {
+                input,
+                axes,
+                keepdim,
+            } => {
+                let in_shape = ctx.shape(*input);
+                let gk = if *keepdim {
+                    g
+                } else {
+                    let mut keep_shape = in_shape.to_vec();
+                    for &a in axes {
+                        keep_shape[a] = 1;
+                    }
+                    g.reshape(&keep_shape)
+                };
+                // Broadcast the kept-dim gradient back over the input.
+                let expanded = Tensor::zeros(in_shape).add(&gk);
+                accumulate(grads, *input, expanded);
+            }
+            Op::SumAll(a) => {
+                let full = Tensor::full(ctx.shape(*a), g.item());
+                accumulate(grads, *a, full);
+            }
+            Op::MeanAll(a) => {
+                let n = numel(ctx.shape(*a)).max(1) as f32;
+                let full = Tensor::full(ctx.shape(*a), g.item() / n);
+                accumulate(grads, *a, full);
+            }
+            Op::Softmax(a, axis) => {
+                // dx = y * (g - sum(g*y, axis, keepdim))
+                let y = ctx.value(i);
+                let s = g.mul(y).sum_axes(&[*axis], true);
+                let dg = y.mul(&g.sub(&s));
+                accumulate(grads, *a, dg);
+            }
+            Op::Concat { inputs, axis } => {
+                let mut start = 0;
+                for &inp in inputs {
+                    let len = ctx.shape(inp)[*axis];
+                    if ctx.useful(inp) {
+                        accumulate(grads, inp, g.narrow(*axis, start, len));
+                    }
+                    start += len;
+                }
+            }
+            Op::Narrow {
+                input,
+                axis,
+                start,
+                len,
+            } => {
+                let dg = narrow_scatter(&g, ctx.shape(*input), *axis, *start, *len);
+                accumulate(grads, *input, dg);
+            }
+            Op::Conv1d {
+                input,
+                weight,
+                dilation,
+                pad_left,
+            } => {
+                let (input, weight) = (*input, *weight);
+                if ctx.useful(input) {
+                    let dx = conv1d_backward_dx(
+                        &g,
+                        ctx.shape(input),
+                        ctx.value(weight),
+                        *dilation,
+                        *pad_left,
+                    );
+                    accumulate(grads, input, dx);
+                }
+                if ctx.useful(weight) {
+                    let dw = ctx.conv_dw(i, &g, input, weight, *dilation, *pad_left);
+                    accumulate(grads, weight, dw);
+                }
+            }
+            Op::Detach(_) => { /* gradient intentionally dropped */ }
+        }
+    }
+
+    /// Marks in `keep` the forward values [`Op::backward`] reads for node
+    /// `i`, given which inputs are `useful`. A value the rule reads must be
+    /// marked here, or the plan engine frees it before the backward walk
+    /// gets to it; the match is exhaustive, so every new op has to say.
+    pub(crate) fn grad_reads(&self, i: usize, useful: impl Fn(usize) -> bool, keep: &mut [bool]) {
+        match self {
+            // Each edge multiplies by the other operand.
+            Op::Mul(a, b) | Op::MatMul(a, b) | Op::Conv1d { input: a, weight: b, .. } => {
+                if useful(*a) {
+                    keep[*b] = true;
+                }
+                if useful(*b) {
+                    keep[*a] = true;
+                }
+            }
+            Op::Div(a, b) => {
+                if useful(*a) {
+                    keep[*b] = true;
+                }
+                if useful(*b) {
+                    keep[*a] = true;
+                    keep[*b] = true;
+                }
+            }
+            Op::Unary(a, u) => match u {
+                Unary::Neg | Unary::Scale(_) | Unary::AddScalar(_) => {}
+                Unary::PowF(_) | Unary::Ln | Unary::Abs | Unary::Relu | Unary::LeakyRelu(_) => {
+                    if useful(*a) {
+                        keep[*a] = true;
+                    }
+                }
+                Unary::Exp | Unary::Sqrt | Unary::Sigmoid | Unary::Tanh => keep[i] = true,
+            },
+            Op::Softmax(..) => keep[i] = true,
+            // These rules read only `g` and shapes.
+            Op::Leaf
+            | Op::Constant
+            | Op::Add(..)
+            | Op::Sub(..)
+            | Op::Permute(..)
+            | Op::Reshape(..)
+            | Op::SumAxes { .. }
+            | Op::SumAll(..)
+            | Op::MeanAll(..)
+            | Op::Concat { .. }
+            | Op::Narrow { .. }
+            | Op::Detach(_) => {}
+        }
+    }
+}
+
 pub(crate) struct Node {
     pub(crate) value: Tensor,
     pub(crate) op: Op,
+}
+
+/// The interpreter's view for [`Op::backward`]: values and shapes come
+/// straight from the recorded nodes, and every edge is evaluated.
+struct TapeCtx<'a> {
+    nodes: &'a [Node],
+}
+
+impl GradCtx for TapeCtx<'_> {
+    fn value(&self, j: usize) -> &Tensor {
+        &self.nodes[j].value
+    }
+
+    fn shape(&self, j: usize) -> &[usize] {
+        self.nodes[j].value.shape()
+    }
 }
 
 /// The autodiff tape. Create one per training step; parameters are bound to
@@ -205,6 +695,24 @@ impl Tape {
         }
     }
 
+    /// Evaluates `op` over the recorded values and appends it.
+    fn record(&self, op: Op) -> Var<'_> {
+        self.record_shaped(op, &[])
+    }
+
+    /// [`Tape::record`] with the output shape a `Reshape` needs.
+    fn record_shaped(&self, op: Op, out_shape: &[usize]) -> Var<'_> {
+        let t0 = crate::opprof::op_profile_enabled().then(std::time::Instant::now);
+        let value = {
+            let nodes = self.nodes.borrow();
+            op.eval(|j| &nodes[j].value, out_shape)
+        };
+        if let (Some(t0), Some(k)) = (t0, kind_index(&op)) {
+            crate::opprof::record_forward(k, t0.elapsed().as_nanos() as u64);
+        }
+        self.push(value, op)
+    }
+
     /// Registers a trainable input.
     pub fn leaf(&self, value: Tensor) -> Var<'_> {
         self.push(value, Op::Leaf)
@@ -219,18 +727,10 @@ impl Tape {
     /// Concatenates variables along `axis`.
     pub fn concat<'t>(&'t self, parts: &[Var<'t>], axis: usize) -> Var<'t> {
         assert!(!parts.is_empty(), "concat of zero vars");
-        let value = {
-            let nodes = self.nodes.borrow();
-            let tensors: Vec<&Tensor> = parts.iter().map(|v| &nodes[v.idx].value).collect();
-            Tensor::concat(&tensors, axis)
-        };
-        self.push(
-            value,
-            Op::Concat {
-                inputs: parts.iter().map(|v| v.idx).collect(),
-                axis,
-            },
-        )
+        self.record(Op::Concat {
+            inputs: parts.iter().map(|v| v.idx).collect(),
+            axis,
+        })
     }
 
     /// Clones the forward value of a variable.
@@ -251,7 +751,8 @@ impl Tape {
     }
 
     /// Runs the backward pass from `loss` (which must hold exactly one
-    /// element) and returns per-node gradients.
+    /// element) and returns per-node gradients: every recorded node, in
+    /// reverse order, applies `Op::backward` to the gradient it holds.
     pub fn backward(&self, loss: Var<'_>) -> Gradients {
         let nodes = self.nodes.borrow();
         assert_eq!(
@@ -264,234 +765,12 @@ impl Tape {
         grads[loss.idx] = Some(Tensor::ones(nodes[loss.idx].value.shape()));
 
         let prof = crate::opprof::op_profile_enabled();
+        let mut ctx = TapeCtx { nodes: &nodes };
         for i in (0..=loss.idx).rev() {
             let Some(g) = grads[i].take() else { continue };
-            let node = &nodes[i];
-            let t0 = if prof {
-                Some(std::time::Instant::now())
-            } else {
-                None
-            };
-            match &node.op {
-                Op::Leaf | Op::Constant => {
-                    grads[i] = Some(g); // keep for retrieval
-                    continue;
-                }
-                Op::Add(a, b) => {
-                    // Same-shape edges propagate g by reference (one clone
-                    // at most); broadcast edges reduce first.
-                    for &inp in &[*a, *b] {
-                        if nodes[inp].value.shape() == g.shape() {
-                            accumulate_ref(&mut grads, inp, &g);
-                        } else {
-                            accumulate(&mut grads, inp, g.reduce_to_shape(nodes[inp].value.shape()));
-                        }
-                    }
-                }
-                Op::Sub(a, b) => {
-                    if nodes[*a].value.shape() == g.shape() {
-                        accumulate_ref(&mut grads, *a, &g);
-                    } else {
-                        accumulate(&mut grads, *a, g.reduce_to_shape(nodes[*a].value.shape()));
-                    }
-                    if nodes[*b].value.shape() == g.shape() {
-                        fused_scale_acc(&mut grads, *b, &g, -1.0);
-                    } else {
-                        accumulate(
-                            &mut grads,
-                            *b,
-                            g.scale(-1.0).reduce_to_shape(nodes[*b].value.shape()),
-                        );
-                    }
-                }
-                Op::Mul(a, b) => {
-                    let av = &nodes[*a].value;
-                    let bv = &nodes[*b].value;
-                    if av.shape() == g.shape() && bv.shape() == g.shape() {
-                        fused_mul_acc(&mut grads, *a, &g, bv);
-                        fused_mul_acc(&mut grads, *b, &g, av);
-                    } else {
-                        let ga = g.mul(bv).reduce_to_shape(av.shape());
-                        let gb = g.mul(av).reduce_to_shape(bv.shape());
-                        accumulate(&mut grads, *a, ga);
-                        accumulate(&mut grads, *b, gb);
-                    }
-                }
-                Op::Div(a, b) => {
-                    let av = &nodes[*a].value;
-                    let bv = &nodes[*b].value;
-                    if av.shape() == g.shape() && bv.shape() == g.shape() {
-                        fused_map2(&mut grads, *a, &g, bv, |gv, b| gv / b);
-                        // d/db (a/b) = -a / b^2, with the exact expression
-                        // tree of the broadcast arm's temporary chain.
-                        fused_map3(&mut grads, *b, &g, av, bv, |gv, a, b| {
-                            ((gv * a) / (b * b)) * -1.0
-                        });
-                    } else {
-                        let ga = g.div(bv).reduce_to_shape(av.shape());
-                        let gb = g
-                            .mul(av)
-                            .div(&bv.mul(bv))
-                            .scale(-1.0)
-                            .reduce_to_shape(bv.shape());
-                        accumulate(&mut grads, *a, ga);
-                        accumulate(&mut grads, *b, gb);
-                    }
-                }
-                Op::Neg(a) => fused_scale_acc(&mut grads, *a, &g, -1.0),
-                Op::Scale(a, c) => fused_scale_acc(&mut grads, *a, &g, *c),
-                Op::AddScalar(a, _) => accumulate(&mut grads, *a, g),
-                Op::PowF(a, p) => {
-                    let p = *p;
-                    fused_map2(&mut grads, *a, &g, &nodes[*a].value, move |gv, v| {
-                        gv * (p * v.powf(p - 1.0))
-                    });
-                }
-                Op::Exp(a) => fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv * y),
-                Op::Ln(a) => fused_map2(&mut grads, *a, &g, &nodes[*a].value, |gv, v| gv / v),
-                Op::Sqrt(a) => {
-                    // dy/dx = 1 / (2 sqrt(x)) = 1 / (2 y)
-                    fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv / (y * 2.0));
-                }
-                Op::Abs(a) => {
-                    // Mask-multiply (not branch-select on g) so signed
-                    // zeros match `g * sign(x)` exactly.
-                    let sign = |v: f32| {
-                        if v > 0.0 {
-                            1.0
-                        } else if v < 0.0 {
-                            -1.0
-                        } else {
-                            0.0
-                        }
-                    };
-                    fused_map2(&mut grads, *a, &g, &nodes[*a].value, |gv, v| gv * sign(v));
-                }
-                Op::Relu(a) => {
-                    fused_map2(&mut grads, *a, &g, &nodes[*a].value, |gv, v| {
-                        gv * if v > 0.0 { 1.0 } else { 0.0 }
-                    });
-                }
-                Op::LeakyRelu(a, slope) => {
-                    let s = *slope;
-                    fused_map2(&mut grads, *a, &g, &nodes[*a].value, move |gv, v| {
-                        gv * if v > 0.0 { 1.0 } else { s }
-                    });
-                }
-                Op::Sigmoid(a) => {
-                    fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv * (y * (1.0 - y)));
-                }
-                Op::Tanh(a) => {
-                    fused_map2(&mut grads, *a, &g, &node.value, |gv, y| gv * (1.0 - y * y));
-                }
-                Op::MatMul(a, b) => {
-                    let av = &nodes[*a].value;
-                    let bv = &nodes[*b].value;
-                    // Fused-transpose gemm: dA = dC @ B^T, dB = A^T @ dC,
-                    // without materializing B^T / A^T copies. The
-                    // reduce_to_shape (a full-tensor copy) only runs on
-                    // broadcast edges.
-                    let ga = g.matmul_nt(bv);
-                    let ga = if ga.shape() == av.shape() {
-                        ga
-                    } else {
-                        ga.reduce_to_shape(av.shape())
-                    };
-                    let gb = av.matmul_tn(&g);
-                    let gb = if gb.shape() == bv.shape() {
-                        gb
-                    } else {
-                        gb.reduce_to_shape(bv.shape())
-                    };
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
-                }
-                Op::Permute(a, perm) => {
-                    let mut inv = vec![0usize; perm.len()];
-                    for (i, &p) in perm.iter().enumerate() {
-                        inv[p] = i;
-                    }
-                    accumulate(&mut grads, *a, g.permute(&inv));
-                }
-                Op::Reshape(a) => {
-                    accumulate(&mut grads, *a, g.reshape(nodes[*a].value.shape()));
-                }
-                Op::SumAxes {
-                    input,
-                    axes,
-                    keepdim,
-                } => {
-                    let in_shape = nodes[*input].value.shape().to_vec();
-                    let keep_shape: Vec<usize> = {
-                        let mut s = in_shape.clone();
-                        for &a in axes {
-                            s[a] = 1;
-                        }
-                        s
-                    };
-                    let gk = if *keepdim {
-                        g
-                    } else {
-                        g.reshape(&keep_shape)
-                    };
-                    // Broadcast the kept-dim gradient back over the input.
-                    let expanded = Tensor::zeros(&in_shape).add(&gk);
-                    accumulate(&mut grads, *input, expanded);
-                }
-                Op::SumAll(a) => {
-                    let full = Tensor::full(nodes[*a].value.shape(), g.item());
-                    accumulate(&mut grads, *a, full);
-                }
-                Op::MeanAll(a) => {
-                    let n = nodes[*a].value.len().max(1) as f32;
-                    let full = Tensor::full(nodes[*a].value.shape(), g.item() / n);
-                    accumulate(&mut grads, *a, full);
-                }
-                Op::Softmax(a, axis) => {
-                    // dx = y * (g - sum(g*y, axis, keepdim))
-                    let y = &node.value;
-                    let gy = g.mul(y);
-                    let s = gy.sum_axes(&[*axis], true);
-                    let dg = y.mul(&g.sub(&s));
-                    accumulate(&mut grads, *a, dg);
-                }
-                Op::Concat { inputs, axis } => {
-                    let mut start = 0;
-                    for &inp in inputs {
-                        let len = nodes[inp].value.shape()[*axis];
-                        let part = g.narrow(*axis, start, len);
-                        accumulate(&mut grads, inp, part);
-                        start += len;
-                    }
-                }
-                Op::Narrow {
-                    input,
-                    axis,
-                    start,
-                    len,
-                } => {
-                    let dg = narrow_scatter(&g, nodes[*input].value.shape(), *axis, *start, *len);
-                    accumulate(&mut grads, *input, dg);
-                }
-                Op::Conv1d {
-                    input,
-                    weight,
-                    dilation,
-                    pad_left,
-                } => {
-                    let (dx, dw) = conv1d_backward(
-                        &g,
-                        &nodes[*input].value,
-                        &nodes[*weight].value,
-                        *dilation,
-                        *pad_left,
-                    );
-                    accumulate(&mut grads, *input, dx);
-                    accumulate(&mut grads, *weight, dw);
-                }
-                Op::Detach(_) => { /* gradient intentionally dropped */ }
-            }
-            if let (Some(t0), Some(k)) = (t0, kind_index(&node.op)) {
+            let t0 = prof.then(std::time::Instant::now);
+            nodes[i].op.backward(i, g, &mut ctx, &mut grads);
+            if let (Some(t0), Some(k)) = (t0, kind_index(&nodes[i].op)) {
                 crate::opprof::record_backward(k, t0.elapsed().as_nanos() as u64);
             }
         }
@@ -499,7 +778,35 @@ impl Tape {
     }
 }
 
-pub(crate) fn accumulate(grads: &mut [Option<Tensor>], idx: usize, g: Tensor) {
+/// Identity edge `grads[j] (+)= g`, borrowing `g`: same-shape edges clone
+/// at most once, broadcast edges reduce over the broadcast axes first.
+fn pass_ref(grads: &mut [Option<Tensor>], j: usize, g: &Tensor, shape: &[usize]) {
+    if shape == g.shape() {
+        accumulate_ref(grads, j, g);
+    } else {
+        accumulate(grads, j, g.reduce_to_shape(shape));
+    }
+}
+
+/// [`pass_ref`] for an edge that may consume `g`.
+fn pass(grads: &mut [Option<Tensor>], j: usize, g: Tensor, shape: &[usize]) {
+    if shape == g.shape() {
+        accumulate(grads, j, g);
+    } else {
+        accumulate(grads, j, g.reduce_to_shape(shape));
+    }
+}
+
+/// Negated identity edge `grads[j] (+)= -g` (the `b` edge of `a - b`).
+fn neg_pass(grads: &mut [Option<Tensor>], j: usize, g: &Tensor, shape: &[usize]) {
+    if shape == g.shape() {
+        fused_scale_acc(grads, j, g, -1.0);
+    } else {
+        accumulate(grads, j, g.scale(-1.0).reduce_to_shape(shape));
+    }
+}
+
+fn accumulate(grads: &mut [Option<Tensor>], idx: usize, g: Tensor) {
     match &mut grads[idx] {
         Some(existing) => existing.add_assign(&g),
         slot @ None => *slot = Some(g),
@@ -509,78 +816,76 @@ pub(crate) fn accumulate(grads: &mut [Option<Tensor>], idx: usize, g: Tensor) {
 /// Like [`accumulate`] but borrows the gradient, cloning only when the
 /// slot is empty. Lets rules that propagate `g` unchanged to several
 /// inputs skip one full-tensor copy per edge with an occupied slot.
-pub(crate) fn accumulate_ref(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor) {
+fn accumulate_ref(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor) {
     match &mut grads[idx] {
         Some(existing) => existing.add_assign(g),
         slot @ None => *slot = Some(g.clone()),
     }
 }
 
-/// Core of the fused backward kernels: `grads[idx][e] (+)= eval(e)`.
+/// Core of the fused backward kernels: `grads[idx] (+)= contribution`,
+/// where `kernel(dst, range, acc)` writes (`acc == false`) or adds
+/// (`acc == true`) the contribution of elements `range` into `dst`.
 ///
 /// When the slot already holds a partial gradient the contribution is
 /// accumulated *in place* — no temporary tensor is materialized, which is
 /// the axpy-style fusion that removes one allocation + write + read per
 /// backward edge. When the slot is empty the contribution is written into
 /// a pooled buffer. Either way the per-element arithmetic is "evaluate
-/// `eval(e)`, then add" — exactly what materializing a temporary and
-/// `add_assign`ing it would produce (Rust does not contract `a + b * c` to
-/// FMA), so results are bitwise identical. Large tensors split over the thread pool on
-/// disjoint output chunks, preserving determinism at any thread count.
+/// the contribution, then add" — exactly what materializing a temporary
+/// and `add_assign`ing it would produce (Rust does not contract
+/// `a + b * c` to FMA), so results are bitwise identical. Large tensors
+/// split over the thread pool on disjoint output chunks, preserving
+/// determinism at any thread count.
+fn fused_kernel(
+    grads: &mut [Option<Tensor>],
+    idx: usize,
+    shape: &[usize],
+    kernel: impl Fn(&mut [f32], std::ops::Range<usize>, bool) + Sync,
+) {
+    let n = numel(shape);
+    let run = |dst: &mut [f32], acc: bool| {
+        if n < PAR_MIN_ELEMS {
+            kernel(dst, 0..n, acc);
+        } else {
+            par_fill(dst, PAR_MIN_ELEMS / 4, |chunk, r| kernel(chunk, r, acc));
+        }
+    };
+    match &mut grads[idx] {
+        Some(existing) => {
+            debug_assert_eq!(existing.shape(), shape, "fused gradient shape mismatch");
+            run(existing.data_mut(), true);
+        }
+        slot @ None => {
+            let mut data = pool::take_uninit(n);
+            run(&mut data, false);
+            *slot = Some(Tensor::from_vec(data, shape));
+        }
+    }
+}
+
+/// `grads[idx][e] (+)= eval(e)` elementwise.
 fn fused_apply(
     grads: &mut [Option<Tensor>],
     idx: usize,
     shape: &[usize],
     eval: &(impl Fn(usize) -> f32 + Sync),
 ) {
-    let n = numel(shape);
-    match &mut grads[idx] {
-        Some(existing) => {
-            debug_assert_eq!(existing.shape(), shape, "fused gradient shape mismatch");
-            let dst = existing.data_mut();
-            if n < PAR_MIN_ELEMS {
-                for (e, d) in dst.iter_mut().enumerate() {
-                    *d += eval(e);
-                }
-            } else {
-                par_fill(dst, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    for (d, e) in chunk.iter_mut().zip(r) {
-                        *d += eval(e);
-                    }
-                });
+    fused_kernel(grads, idx, shape, |dst, r, acc| {
+        if acc {
+            for (d, e) in dst.iter_mut().zip(r) {
+                *d += eval(e);
+            }
+        } else {
+            for (d, e) in dst.iter_mut().zip(r) {
+                *d = eval(e);
             }
         }
-        slot @ None => {
-            let mut data = pool::take_uninit(n);
-            if n < PAR_MIN_ELEMS {
-                for (e, d) in data.iter_mut().enumerate() {
-                    *d = eval(e);
-                }
-            } else {
-                par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    for (d, e) in chunk.iter_mut().zip(r) {
-                        *d = eval(e);
-                    }
-                });
-            }
-            *slot = Some(Tensor::from_vec(data, shape));
-        }
-    }
-}
-
-/// `grads[idx] (+)= f(g)` elementwise (same-shape inputs only).
-pub(crate) fn fused_map1(
-    grads: &mut [Option<Tensor>],
-    idx: usize,
-    g: &Tensor,
-    f: impl Fn(f32) -> f32 + Sync,
-) {
-    let gd = g.data();
-    fused_apply(grads, idx, g.shape(), &|e| f(gd[e]));
+    });
 }
 
 /// `grads[idx] (+)= f(g, x)` elementwise (same-shape inputs only).
-pub(crate) fn fused_map2(
+fn fused_map2(
     grads: &mut [Option<Tensor>],
     idx: usize,
     g: &Tensor,
@@ -594,7 +899,7 @@ pub(crate) fn fused_map2(
 }
 
 /// `grads[idx] (+)= f(g, a, b)` elementwise (same-shape inputs only).
-pub(crate) fn fused_map3(
+fn fused_map3(
     grads: &mut [Option<Tensor>],
     idx: usize,
     g: &Tensor,
@@ -617,78 +922,34 @@ pub(crate) fn fused_map3(
 /// all three paths are bitwise identical. With the fast kernels disabled
 /// (`URCL_SIMD=0`) this routes through [`fused_map2`] so the disabled path
 /// stays byte-for-byte the seed code path.
-pub(crate) fn fused_mul_acc(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor, x: &Tensor) {
+fn fused_mul_acc(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor, x: &Tensor) {
     if !crate::simd::fast_kernels() {
         return fused_map2(grads, idx, g, x, |gv, xv| gv * xv);
     }
     debug_assert_eq!(g.shape(), x.shape(), "fused_mul_acc shape mismatch");
-    let gd = g.data();
-    let xd = x.data();
-    let n = gd.len();
-    match &mut grads[idx] {
-        Some(existing) => {
-            debug_assert_eq!(existing.shape(), g.shape(), "fused gradient shape mismatch");
-            let dst = existing.data_mut();
-            if n < PAR_MIN_ELEMS {
-                crate::simd::mul_acc(dst, gd, xd, true);
-            } else {
-                par_fill(dst, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    crate::simd::mul_acc(chunk, &gd[r.clone()], &xd[r], true);
-                });
-            }
-        }
-        slot @ None => {
-            let mut data = pool::take_uninit(n);
-            if n < PAR_MIN_ELEMS {
-                crate::simd::mul_acc(&mut data, gd, xd, false);
-            } else {
-                par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    crate::simd::mul_acc(chunk, &gd[r.clone()], &xd[r], false);
-                });
-            }
-            *slot = Some(Tensor::from_vec(data, g.shape()));
-        }
-    }
+    let (gd, xd) = (g.data(), x.data());
+    fused_kernel(grads, idx, g.shape(), |dst, r, acc| {
+        crate::simd::mul_acc(dst, &gd[r.clone()], &xd[r], acc);
+    });
 }
 
 /// `grads[idx] (+)= g * c` elementwise through the SIMD seam
 /// ([`crate::simd::scale_acc`]); same bitwise-parity contract as
-/// [`fused_mul_acc`], with [`fused_map1`] as the `URCL_SIMD=0` route.
-pub(crate) fn fused_scale_acc(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor, c: f32) {
-    if !crate::simd::fast_kernels() {
-        return fused_map1(grads, idx, g, move |gv| gv * c);
-    }
+/// [`fused_mul_acc`], with a `gv * c` [`fused_apply`] as the
+/// `URCL_SIMD=0` route.
+fn fused_scale_acc(grads: &mut [Option<Tensor>], idx: usize, g: &Tensor, c: f32) {
     let gd = g.data();
-    let n = gd.len();
-    match &mut grads[idx] {
-        Some(existing) => {
-            debug_assert_eq!(existing.shape(), g.shape(), "fused gradient shape mismatch");
-            let dst = existing.data_mut();
-            if n < PAR_MIN_ELEMS {
-                crate::simd::scale_acc(dst, gd, c, true);
-            } else {
-                par_fill(dst, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    crate::simd::scale_acc(chunk, &gd[r], c, true);
-                });
-            }
-        }
-        slot @ None => {
-            let mut data = pool::take_uninit(n);
-            if n < PAR_MIN_ELEMS {
-                crate::simd::scale_acc(&mut data, gd, c, false);
-            } else {
-                par_fill(&mut data, PAR_MIN_ELEMS / 4, |chunk, r| {
-                    crate::simd::scale_acc(chunk, &gd[r], c, false);
-                });
-            }
-            *slot = Some(Tensor::from_vec(data, g.shape()));
-        }
+    if !crate::simd::fast_kernels() {
+        return fused_apply(grads, idx, g.shape(), &|e| gd[e] * c);
     }
+    fused_kernel(grads, idx, g.shape(), |dst, r, acc| {
+        crate::simd::scale_acc(dst, &gd[r], c, acc);
+    });
 }
 
 /// Embeds a gradient of the narrowed slice back into a zero tensor of the
 /// input's shape.
-pub(crate) fn narrow_scatter(
+fn narrow_scatter(
     g: &Tensor,
     in_shape: &[usize],
     axis: usize,
@@ -709,30 +970,17 @@ pub(crate) fn narrow_scatter(
     out
 }
 
-/// Gradients of a dilated causal 1-D convolution w.r.t. input and weight.
+/// Input gradient of a dilated causal 1-D convolution. Only the *shape*
+/// of `x` is needed (the data gradient never reads the input values), so
+/// callers that skip the weight gradient — the plan executor's
+/// dead-gradient elimination — can drop the input tensor early.
 ///
 /// `dx` is parallelized over (batch, in-channel) and `dw` over
 /// (out-channel, in-channel): each work item owns a disjoint output slice
 /// and accumulates in a fixed loop order, so results are bitwise identical
 /// at any thread count. Inner loops clamp the valid `to` range up front
 /// (no per-tap bounds tests, no zero-value shortcuts).
-fn conv1d_backward(
-    g: &Tensor,
-    x: &Tensor,
-    w: &Tensor,
-    dilation: usize,
-    pad_left: usize,
-) -> (Tensor, Tensor) {
-    let dx = conv1d_backward_dx(g, x.shape(), w, dilation, pad_left);
-    let dw = conv1d_backward_dw(g, x, w.shape(), dilation, pad_left);
-    (dx, dw)
-}
-
-/// Input gradient of a dilated causal 1-D convolution. Only the *shape*
-/// of `x` is needed (the data gradient never reads the input values), so
-/// callers that skip the weight gradient — the plan executor's
-/// dead-gradient elimination — can drop the input tensor early.
-pub(crate) fn conv1d_backward_dx(
+fn conv1d_backward_dx(
     g: &Tensor,
     x_shape: &[usize],
     w: &Tensor,
@@ -881,6 +1129,23 @@ pub(crate) fn conv1d_backward_dw(
     let (b, cin, t) = (x.shape()[0], x.shape()[1], x.shape()[2]);
     let (cout, k) = (w_shape[0], w_shape[2]);
     let t_out = g.shape()[2];
+
+    // dw via per-batch `g_bi @ im2col(x_bi)^T` GEMMs when the time rows
+    // are short. Unlike dx, the direct dw loop below does NOT keep one
+    // flat running sum per element — it accumulates a register dot
+    // product per (bi, ki) and adds those partials in bi order. The
+    // lowering reproduces that grouping exactly: each per-batch GEMM
+    // computes the same to-ascending dot (clamped taps appear as
+    // `g * 0.0` terms — adding a signed zero to a +0.0-seeded sum is the
+    // identity), and the partials are then summed serially in bi order,
+    // so every bit matches the direct loop.
+    if t_out < crate::gemm::NR {
+        let cols = conv1d_dw_cols(x, k, dilation, pad_left, t_out);
+        let dw = conv1d_backward_dw_with_cols(g, x.shape(), w_shape, &cols);
+        crate::pool::recycle(cols);
+        return dw;
+    }
+
     let mut dw = Tensor::zeros(w_shape);
     let gd = g.data();
     let xd = x.data();
@@ -890,114 +1155,41 @@ pub(crate) fn conv1d_backward_dw(
             t_out.min((t + pad_left).saturating_sub(shift)),
         )
     };
-    let flops = b * cout * cin * k * t_out;
-
-    // dw via per-batch `g_bi @ im2col(x_bi)^T` GEMMs. Unlike dx, the
-    // direct dw loop does NOT keep one flat running sum per element — it
-    // accumulates a register dot product per (bi, ki) and adds those
-    // partials in bi order. The lowering reproduces that grouping
-    // exactly: each per-batch GEMM computes the same to-ascending dot
-    // (clamped taps appear as `g * 0.0` terms — adding a signed zero to a
-    // +0.0-seeded sum is the identity), and the partials are then summed
-    // serially in bi order, so every bit matches the direct loop.
-    let dw_gemm = t_out < crate::gemm::NR;
-    if dw_gemm {
-        use crate::pool;
-        let kk = cin * k;
-        let mut partials = pool::take_uninit(b * cout * kk);
-        {
-            let part_ptr = SendPtr(partials.as_mut_ptr());
-            let bi_item = |bi: usize| {
-                // colsxt[to, ci*k + ki] = x[bi, ci, to + ki*dilation - pad]
-                let mut colsxt = pool::take_zeroed(t_out * kk);
-                for ci in 0..cin {
-                    for ki in 0..k {
-                        let shift = ki * dilation;
-                        let (to_lo, to_hi) = to_range(shift);
-                        if to_lo >= to_hi {
-                            continue;
-                        }
-                        let x_base = (bi * cin + ci) * t + to_lo + shift - pad_left;
-                        for to in to_lo..to_hi {
-                            colsxt[to * kk + ci * k + ki] = xd[x_base + (to - to_lo)];
-                        }
-                    }
-                }
-                // SAFETY: item bi owns partials[bi*cout*kk ..][..cout*kk].
-                let o = unsafe { part_ptr.slice(bi * cout * kk, cout * kk) };
-                crate::gemm::gemm_strided(
-                    cout,
-                    t_out,
-                    kk,
-                    &gd[bi * cout * t_out..],
-                    t_out,
-                    1,
-                    &colsxt,
-                    kk,
-                    1,
-                    o,
-                );
-                pool::recycle(colsxt);
-            };
-            if flops < PAR_MIN_FLOPS {
-                for bi in 0..b {
-                    bi_item(bi);
-                }
-            } else {
-                parallel_for(b, 1, |r| {
-                    for bi in r {
-                        bi_item(bi);
-                    }
-                });
-            }
-        }
-        // dw's [co, ci, ki] layout is exactly the partials' [co, (ci, ki)]
-        // row-major layout, so the bi-ordered accumulate is a flat zip.
-        let dwd = dw.data_mut();
+    let dw_ptr = SendPtr(dw.data_mut().as_mut_ptr());
+    let dw_item = |item: usize| {
+        let co = item / cin;
+        let ci = item % cin;
+        // SAFETY: item owns dw slice [(co*cin+ci)*k ..][..k].
+        let dwrow = unsafe { dw_ptr.slice((co * cin + ci) * k, k) };
         for bi in 0..b {
-            let part = &partials[bi * cout * kk..][..cout * kk];
-            for (slot, &p) in dwd.iter_mut().zip(part) {
-                *slot += p;
+            let g_base = (bi * cout + co) * t_out;
+            let x_base = (bi * cin + ci) * t;
+            for (ki, slot) in dwrow.iter_mut().enumerate() {
+                let shift = ki * dilation;
+                let (to_lo, to_hi) = to_range(shift);
+                if to_lo >= to_hi {
+                    continue;
+                }
+                let gs = &gd[g_base + to_lo..g_base + to_hi];
+                let xs = &xd[x_base + to_lo + shift - pad_left..][..to_hi - to_lo];
+                let mut acc = 0.0f32;
+                for (&gv, &xv) in gs.iter().zip(xs) {
+                    acc += gv * xv;
+                }
+                *slot += acc;
             }
         }
-        pool::recycle(partials);
+    };
+    if b * cout * cin * k * t_out < PAR_MIN_FLOPS {
+        for item in 0..cout * cin {
+            dw_item(item);
+        }
     } else {
-        let dw_ptr = SendPtr(dw.data_mut().as_mut_ptr());
-        let dw_item = |item: usize| {
-            let co = item / cin;
-            let ci = item % cin;
-            // SAFETY: item owns dw slice [(co*cin+ci)*k ..][..k].
-            let dwrow = unsafe { dw_ptr.slice((co * cin + ci) * k, k) };
-            for bi in 0..b {
-                let g_base = (bi * cout + co) * t_out;
-                let x_base = (bi * cin + ci) * t;
-                for (ki, slot) in dwrow.iter_mut().enumerate() {
-                    let shift = ki * dilation;
-                    let (to_lo, to_hi) = to_range(shift);
-                    if to_lo >= to_hi {
-                        continue;
-                    }
-                    let gs = &gd[g_base + to_lo..g_base + to_hi];
-                    let xs = &xd[x_base + to_lo + shift - pad_left..][..to_hi - to_lo];
-                    let mut acc = 0.0f32;
-                    for (&gv, &xv) in gs.iter().zip(xs) {
-                        acc += gv * xv;
-                    }
-                    *slot += acc;
-                }
-            }
-        };
-        if flops < PAR_MIN_FLOPS {
-            for item in 0..cout * cin {
+        parallel_for(cout * cin, 1, |r| {
+            for item in r {
                 dw_item(item);
             }
-        } else {
-            parallel_for(cout * cin, 1, |r| {
-                for item in r {
-                    dw_item(item);
-                }
-            });
-        }
+        });
     }
     dw
 }
@@ -1068,11 +1260,9 @@ pub(crate) fn conv1d_dw_cols(
 }
 
 /// Weight gradient of a dilated causal 1-D convolution from a prebuilt
-/// [`conv1d_dw_cols`] panel. Bitwise identical to the GEMM branch of
-/// [`conv1d_backward_dw`] (same per-batch GEMMs over the same panel
-/// values, same bi-ordered serial accumulate); callers must check the
-/// same `t_out < NR` guard that selects that branch before using this
-/// path.
+/// [`conv1d_dw_cols`] panel: the GEMM lowering of [`conv1d_backward_dw`]
+/// (per-batch GEMMs, then a bi-ordered serial accumulate). Callers must
+/// check the same `t_out < NR` guard that selects it there.
 pub(crate) fn conv1d_backward_dw_with_cols(
     g: &Tensor,
     x_shape: &[usize],
@@ -1121,7 +1311,8 @@ pub(crate) fn conv1d_backward_dw_with_cols(
             });
         }
     }
-    // Same bi-ordered flat-zip accumulate as `conv1d_backward_dw`.
+    // dw's [co, ci, ki] layout is exactly the partials' [co, (ci, ki)]
+    // row-major layout, so the bi-ordered accumulate is a flat zip.
     let dwd = dw.data_mut();
     for bi in 0..b {
         let part = &partials[bi * cout * kk..][..cout * kk];
@@ -1180,139 +1371,106 @@ impl<'t> Var<'t> {
         self.tape.nodes.borrow()[self.idx].value.shape().to_vec()
     }
 
-    fn unary(self, f: impl FnOnce(&Tensor) -> Tensor, op: Op) -> Var<'t> {
-        let prof = crate::opprof::op_profile_enabled();
-        let t0 = if prof {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let value = {
-            let nodes = self.tape.nodes.borrow();
-            f(&nodes[self.idx].value)
-        };
-        if let (Some(t0), Some(k)) = (t0, kind_index(&op)) {
-            crate::opprof::record_forward(k, t0.elapsed().as_nanos() as u64);
-        }
-        self.tape.push(value, op)
+    fn unary(self, u: Unary) -> Var<'t> {
+        self.tape.record(Op::Unary(self.idx, u))
     }
 
-    fn binary(self, other: Var<'t>, f: impl FnOnce(&Tensor, &Tensor) -> Tensor, op: Op) -> Var<'t> {
+    fn binary(self, other: Var<'t>, op: impl FnOnce(usize, usize) -> Op) -> Var<'t> {
         assert!(
             std::ptr::eq(self.tape, other.tape),
             "variables belong to different tapes"
         );
-        let prof = crate::opprof::op_profile_enabled();
-        let t0 = if prof {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let value = {
-            let nodes = self.tape.nodes.borrow();
-            f(&nodes[self.idx].value, &nodes[other.idx].value)
-        };
-        if let (Some(t0), Some(k)) = (t0, kind_index(&op)) {
-            crate::opprof::record_forward(k, t0.elapsed().as_nanos() as u64);
-        }
-        self.tape.push(value, op)
+        self.tape.record(op(self.idx, other.idx))
     }
 
     /// Elementwise addition (broadcasting).
     pub fn add(self, other: Var<'t>) -> Var<'t> {
-        self.binary(other, |a, b| a.add(b), Op::Add(self.idx, other.idx))
+        self.binary(other, Op::Add)
     }
 
     /// Elementwise subtraction (broadcasting).
     pub fn sub(self, other: Var<'t>) -> Var<'t> {
-        self.binary(other, |a, b| a.sub(b), Op::Sub(self.idx, other.idx))
+        self.binary(other, Op::Sub)
     }
 
     /// Elementwise multiplication (broadcasting).
     pub fn mul(self, other: Var<'t>) -> Var<'t> {
-        self.binary(other, |a, b| a.mul(b), Op::Mul(self.idx, other.idx))
+        self.binary(other, Op::Mul)
     }
 
     /// Elementwise division (broadcasting).
     pub fn div(self, other: Var<'t>) -> Var<'t> {
-        self.binary(other, |a, b| a.div(b), Op::Div(self.idx, other.idx))
+        self.binary(other, Op::Div)
     }
 
     /// Negation.
     pub fn neg(self) -> Var<'t> {
-        self.unary(|a| a.scale(-1.0), Op::Neg(self.idx))
+        self.unary(Unary::Neg)
     }
 
     /// Scalar multiply.
     pub fn scale(self, c: f32) -> Var<'t> {
-        self.unary(|a| a.scale(c), Op::Scale(self.idx, c))
+        self.unary(Unary::Scale(c))
     }
 
     /// Scalar add.
     pub fn add_scalar(self, c: f32) -> Var<'t> {
-        self.unary(|a| a.add_scalar(c), Op::AddScalar(self.idx, c))
+        self.unary(Unary::AddScalar(c))
     }
 
     /// Elementwise power with a constant exponent.
     pub fn powf(self, p: f32) -> Var<'t> {
-        self.unary(|a| a.map(|v| v.powf(p)), Op::PowF(self.idx, p))
+        self.unary(Unary::PowF(p))
     }
 
     /// Elementwise exponential.
     pub fn exp(self) -> Var<'t> {
-        self.unary(|a| a.map(f32::exp), Op::Exp(self.idx))
+        self.unary(Unary::Exp)
     }
 
     /// Elementwise natural logarithm.
     pub fn ln(self) -> Var<'t> {
-        self.unary(|a| a.map(f32::ln), Op::Ln(self.idx))
+        self.unary(Unary::Ln)
     }
 
     /// Elementwise square root.
     pub fn sqrt(self) -> Var<'t> {
-        self.unary(|a| a.map(f32::sqrt), Op::Sqrt(self.idx))
+        self.unary(Unary::Sqrt)
     }
 
     /// Elementwise absolute value.
     pub fn abs(self) -> Var<'t> {
-        self.unary(|a| a.map(f32::abs), Op::Abs(self.idx))
+        self.unary(Unary::Abs)
     }
 
     /// Rectified linear unit.
     pub fn relu(self) -> Var<'t> {
-        self.unary(|a| a.map(|v| v.max(0.0)), Op::Relu(self.idx))
+        self.unary(Unary::Relu)
     }
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(self, slope: f32) -> Var<'t> {
-        self.unary(
-            |a| a.map(|v| if v > 0.0 { v } else { slope * v }),
-            Op::LeakyRelu(self.idx, slope),
-        )
+        self.unary(Unary::LeakyRelu(slope))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(self) -> Var<'t> {
-        self.unary(
-            |a| a.map(|v| 1.0 / (1.0 + (-v).exp())),
-            Op::Sigmoid(self.idx),
-        )
+        self.unary(Unary::Sigmoid)
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(self) -> Var<'t> {
-        self.unary(|a| a.map(f32::tanh), Op::Tanh(self.idx))
+        self.unary(Unary::Tanh)
     }
 
     /// Matrix product (batched with broadcasting, see [`Tensor::matmul`]).
     pub fn matmul(self, other: Var<'t>) -> Var<'t> {
-        self.binary(other, |a, b| a.matmul(b), Op::MatMul(self.idx, other.idx))
+        self.binary(other, Op::MatMul)
     }
 
     /// Generalized transpose.
     pub fn permute(self, perm: &[usize]) -> Var<'t> {
-        let p = perm.to_vec();
-        self.unary(|a| a.permute(perm), Op::Permute(self.idx, p))
+        self.tape.record(Op::Permute(self.idx, perm.to_vec()))
     }
 
     /// Swaps two axes.
@@ -1330,20 +1488,16 @@ impl<'t> Var<'t> {
             numel(&self.shape()),
             "reshape changes element count"
         );
-        self.unary(|a| a.clone().reshape(shape), Op::Reshape(self.idx))
+        self.tape.record_shaped(Op::Reshape(self.idx), shape)
     }
 
     /// Sum over axes.
     pub fn sum_axes(self, axes: &[usize], keepdim: bool) -> Var<'t> {
-        let ax = axes.to_vec();
-        self.unary(
-            |a| a.sum_axes(axes, keepdim),
-            Op::SumAxes {
-                input: self.idx,
-                axes: ax,
-                keepdim,
-            },
-        )
+        self.tape.record(Op::SumAxes {
+            input: self.idx,
+            axes: axes.to_vec(),
+            keepdim,
+        })
     }
 
     /// Mean over axes (sum then scale).
@@ -1355,55 +1509,42 @@ impl<'t> Var<'t> {
 
     /// Sum of all elements, as a `[1]`-shaped variable.
     pub fn sum_all(self) -> Var<'t> {
-        self.unary(
-            |a| Tensor::scalar(a.sum_all()),
-            Op::SumAll(self.idx),
-        )
+        self.tape.record(Op::SumAll(self.idx))
     }
 
     /// Mean of all elements, as a `[1]`-shaped variable.
     pub fn mean_all(self) -> Var<'t> {
-        self.unary(
-            |a| Tensor::scalar(a.mean_all()),
-            Op::MeanAll(self.idx),
-        )
+        self.tape.record(Op::MeanAll(self.idx))
     }
 
     /// Softmax along `axis`.
     pub fn softmax(self, axis: usize) -> Var<'t> {
-        self.unary(|a| a.softmax(axis), Op::Softmax(self.idx, axis))
+        self.tape.record(Op::Softmax(self.idx, axis))
     }
 
     /// Slice along an axis.
     pub fn narrow(self, axis: usize, start: usize, len: usize) -> Var<'t> {
-        self.unary(
-            |a| a.narrow(axis, start, len),
-            Op::Narrow {
-                input: self.idx,
-                axis,
-                start,
-                len,
-            },
-        )
+        self.tape.record(Op::Narrow {
+            input: self.idx,
+            axis,
+            start,
+            len,
+        })
     }
 
     /// Dilated causal 1-D convolution; see [`Tensor::conv1d`].
     pub fn conv1d(self, weight: Var<'t>, dilation: usize, pad_left: usize) -> Var<'t> {
-        self.binary(
+        self.binary(weight, |input, weight| Op::Conv1d {
+            input,
             weight,
-            |x, w| x.conv1d(w, dilation, pad_left),
-            Op::Conv1d {
-                input: self.idx,
-                weight: weight.idx,
-                dilation,
-                pad_left,
-            },
-        )
+            dilation,
+            pad_left,
+        })
     }
 
     /// Stop-gradient: identity forward, zero backward (Eq. 13's `SG(·)`).
     pub fn detach(self) -> Var<'t> {
-        self.unary(Clone::clone, Op::Detach(self.idx))
+        self.tape.record(Op::Detach(self.idx))
     }
 
     /// L2-normalizes along `axis` (used by the cosine similarity of the

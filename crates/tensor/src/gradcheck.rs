@@ -138,138 +138,145 @@ mod tests {
     const EPS: f32 = 1e-2;
     const TOL: f32 = 2e-2;
 
+    fn uni(shape: &[usize], seed: u64, lo: f32, hi: f32) -> Tensor {
+        Rng::seed_from_u64(seed).uniform_tensor(shape, lo, hi)
+    }
+
     fn rand_t(shape: &[usize], seed: u64) -> Tensor {
-        Rng::seed_from_u64(seed).uniform_tensor(shape, -1.0, 1.0)
+        uni(shape, seed, -1.0, 1.0)
     }
 
-    #[test]
-    fn check_elementwise_chain() {
-        let x = rand_t(&[2, 3], 1);
-        check_scalar(&x, EPS, |_t, v| v.tanh().mul(v.sigmoid()).sum_all()).assert_close(TOL);
+    /// Values of alternating sign, at least 0.2 from zero: clear of the
+    /// kinks of `abs`/`relu`/`leaky_relu` by far more than the FD step.
+    fn signed_t(shape: &[usize], seed: u64) -> Tensor {
+        let t = uni(shape, seed, 0.2, 1.0);
+        let data = t.data().iter().enumerate();
+        let data: Vec<f32> = data.map(|(i, &v)| if i % 2 == 0 { v } else { -v }).collect();
+        Tensor::from_vec(data, shape)
     }
 
-    #[test]
-    fn check_exp_ln_sqrt() {
-        // Keep inputs positive for ln/sqrt.
-        let x = Rng::seed_from_u64(2).uniform_tensor(&[6], 0.5, 2.0);
-        check_scalar(&x, 1e-3, |_t, v| v.ln().sum_all()).assert_close(TOL);
-        check_scalar(&x, 1e-3, |_t, v| v.sqrt().sum_all()).assert_close(TOL);
-        check_scalar(&x, 1e-3, |_t, v| v.exp().mean_all()).assert_close(TOL);
+    /// Random weighted sum of `y`, so every output element gets its own
+    /// upstream gradient.
+    fn weighted<'t>(t: &'t Tape, y: Var<'t>) -> Var<'t> {
+        y.mul(t.constant(rand_t(&y.shape(), 99))).sum_all()
     }
 
-    #[test]
-    fn check_abs_away_from_zero() {
-        let x = Rng::seed_from_u64(3).uniform_tensor(&[8], 0.2, 1.0);
-        check_scalar(&x, 1e-3, |_t, v| v.abs().sum_all()).assert_close(TOL);
+    /// The `[2, 3]` constant operand of the binary rows.
+    fn c23() -> Tensor {
+        rand_t(&[2, 3], 30)
     }
 
-    #[test]
-    fn check_matmul() {
-        let x = rand_t(&[3, 4], 4);
-        check_scalar(&x, EPS, |t, v| {
-            let w = t.constant(rand_t(&[4, 2], 5));
-            v.matmul(w).powf(2.0).sum_all()
-        })
-        .assert_close(TOL);
-    }
+    type Build = for<'t> fn(&'t Tape, Var<'t>) -> Var<'t>;
 
+    /// One row per op kind and per edge form — same-shape, broadcast with
+    /// the checked input as the smaller operand (on either side), and self
+    /// edges — each checked against finite differences (and, with plans
+    /// on, replayed bitwise through a compiled plan). The rows' recorded
+    /// nodes must cover every profiled op kind.
     #[test]
-    fn check_batched_matmul_broadcast() {
-        let x = rand_t(&[2, 2], 6);
-        check_scalar(&x, EPS, |t, v| {
-            let batch = t.constant(rand_t(&[3, 2, 2], 7));
-            v.matmul(batch).mul(v.matmul(batch)).sum_all()
-        })
-        .assert_close(TOL);
-    }
+    fn every_op_kind_and_edge_form() {
+        let rows: Vec<(&str, Tensor, f32, Build)> = vec![
+            ("add", rand_t(&[2, 3], 31), EPS, |t, v| weighted(t, v.add(t.constant(c23())))),
+            ("add_broadcast", rand_t(&[1, 3], 32), EPS, |t, v| {
+                weighted(t, v.add(t.constant(c23())))
+            }),
+            ("add_self", rand_t(&[2, 3], 33), EPS, |t, v| weighted(t, v.add(v))),
+            ("sub", rand_t(&[2, 3], 34), EPS, |t, v| weighted(t, v.sub(t.constant(c23())))),
+            ("sub_broadcast", rand_t(&[3], 35), EPS, |t, v| {
+                weighted(t, t.constant(c23()).sub(v))
+            }),
+            ("sub_self", rand_t(&[2, 3], 36), EPS, |t, v| weighted(t, v.sub(v).add(v.powf(2.0)))),
+            ("mul_broadcast", rand_t(&[1, 3], 38), EPS, |t, v| {
+                weighted(t, t.constant(c23()).mul(v))
+            }),
+            ("mul_self", rand_t(&[2, 3], 39), EPS, |t, v| weighted(t, v.mul(v))),
+            ("div", rand_t(&[2, 3], 40), 1e-3, |t, v| {
+                weighted(t, v.div(t.constant(uni(&[2, 3], 41, 0.5, 1.5))))
+            }),
+            ("div_broadcast_num", rand_t(&[1, 3], 42), 1e-3, |t, v| {
+                weighted(t, v.div(t.constant(uni(&[2, 3], 41, 0.5, 1.5))))
+            }),
+            ("div_broadcast_den", uni(&[1, 3], 43, 0.5, 1.5), 1e-3, |t, v| {
+                weighted(t, t.constant(c23()).div(v))
+            }),
+            ("div_self", uni(&[2, 3], 44, 0.5, 1.5), 1e-3, |t, v| weighted(t, v.div(v).add(v))),
+            ("neg", rand_t(&[2, 3], 45), EPS, |t, v| weighted(t, v.neg())),
+            ("add_scalar", rand_t(&[2, 3], 47), EPS, |t, v| weighted(t, v.add_scalar(0.3))),
+            ("elementwise_chain", rand_t(&[2, 3], 1), EPS, |_t, v| {
+                v.tanh().mul(v.sigmoid()).sum_all()
+            }),
+            ("exp", uni(&[6], 2, 0.5, 2.0), 1e-3, |_t, v| v.exp().mean_all()),
+            ("ln", uni(&[6], 2, 0.5, 2.0), 1e-3, |_t, v| v.ln().sum_all()),
+            ("sqrt", uni(&[6], 2, 0.5, 2.0), 1e-3, |_t, v| v.sqrt().sum_all()),
+            ("abs", uni(&[8], 3, 0.2, 1.0), 1e-3, |_t, v| v.abs().sum_all()),
+            ("relu", signed_t(&[2, 3], 49), 1e-3, |t, v| weighted(t, v.relu())),
+            ("leaky_relu", rand_t(&[10], 19), 1e-3, |_t, v| v.leaky_relu(0.1).powf(2.0).sum_all()),
+            ("matmul", rand_t(&[3, 4], 4), EPS, |t, v| {
+                v.matmul(t.constant(rand_t(&[4, 2], 5))).powf(2.0).sum_all()
+            }),
+            ("matmul_broadcast_lhs", rand_t(&[2, 2], 6), EPS, |t, v| {
+                let batch = t.constant(rand_t(&[3, 2, 2], 7));
+                v.matmul(batch).mul(v.matmul(batch)).sum_all()
+            }),
+            ("matmul_broadcast_rhs", rand_t(&[2, 2], 56), EPS, |t, v| {
+                weighted(t, t.constant(rand_t(&[3, 2, 2], 57)).matmul(v))
+            }),
+            ("softmax", rand_t(&[2, 4], 8), EPS, |t, v| {
+                v.softmax(1).mul(t.constant(rand_t(&[2, 4], 9))).sum_all()
+            }),
+            ("conv1d_input", rand_t(&[2, 2, 6], 10), EPS, |t, v| {
+                v.conv1d(t.constant(rand_t(&[3, 2, 2], 11)), 2, 0).powf(2.0).sum_all()
+            }),
+            ("conv1d_weight", rand_t(&[2, 2, 2], 12), EPS, |t, v| {
+                t.constant(rand_t(&[1, 2, 5], 13)).conv1d(v, 1, 1).powf(2.0).sum_all()
+            }),
+            ("permute_reshape_narrow", rand_t(&[2, 3, 4], 14), EPS, |_t, v| {
+                let p = v.permute(&[2, 0, 1]).reshape(&[4, 6]);
+                p.narrow(1, 1, 3).powf(2.0).sum_all()
+            }),
+            ("sum_axes_and_div", uni(&[3, 4], 15, 0.5, 1.5), 1e-3, |_t, v| {
+                v.div(v.sum_axes(&[1], true)).powf(2.0).sum_all()
+            }),
+            ("sum_axes_drop", rand_t(&[2, 3], 61), EPS, |t, v| {
+                weighted(t, v.sum_axes(&[0], false))
+            }),
+            ("mean_all", rand_t(&[2, 3], 63), EPS, |t, v| weighted(t, v.powf(2.0).mean_all())),
+            ("mean_axes_keepdim", rand_t(&[2, 3, 2], 20), EPS, |_t, v| {
+                v.mean_axes(&[1], true).powf(2.0).sum_all()
+            }),
+            ("l2_normalize", uni(&[2, 5], 16, 0.3, 1.0), 1e-3, |t, v| {
+                v.l2_normalize(1).mul(t.constant(rand_t(&[2, 5], 17))).sum_all()
+            }),
+            ("concat", rand_t(&[2, 3], 18), EPS, |t, v| {
+                let parts = [v.narrow(1, 0, 1), v.narrow(1, 1, 2).scale(2.0)];
+                t.concat(&parts, 1).powf(2.0).sum_all()
+            }),
+            // Only the undetached path carries gradient; the detached
+            // difference is identically zero, so FD agrees.
+            ("detach", rand_t(&[2, 3], 71), EPS, |t, v| {
+                weighted(t, v.detach().sub(v.detach()).mul(v).add(v.powf(2.0)))
+            }),
+        ];
 
-    #[test]
-    fn check_softmax() {
-        let x = rand_t(&[2, 4], 8);
-        check_scalar(&x, 1e-2, |t, v| {
-            let w = t.constant(rand_t(&[2, 4], 9));
-            v.softmax(1).mul(w).sum_all()
-        })
-        .assert_close(TOL);
-    }
-
-    #[test]
-    fn check_conv1d() {
-        let x = rand_t(&[2, 2, 6], 10);
-        check_scalar(&x, EPS, |t, v| {
-            let w = t.constant(rand_t(&[3, 2, 2], 11));
-            v.conv1d(w, 2, 0).powf(2.0).sum_all()
-        })
-        .assert_close(TOL);
-    }
-
-    #[test]
-    fn check_conv1d_weight_grad() {
-        let w0 = rand_t(&[2, 2, 2], 12);
-        check_scalar(&w0, EPS, |t, v| {
-            let x = t.constant(rand_t(&[1, 2, 5], 13));
-            x.conv1d(v, 1, 1).powf(2.0).sum_all()
-        })
-        .assert_close(TOL);
-    }
-
-    #[test]
-    fn check_permute_reshape_narrow() {
-        let x = rand_t(&[2, 3, 4], 14);
-        check_scalar(&x, EPS, |_t, v| {
-            v.permute(&[2, 0, 1])
-                .reshape(&[4, 6])
-                .narrow(1, 1, 3)
-                .powf(2.0)
-                .sum_all()
-        })
-        .assert_close(TOL);
-    }
-
-    #[test]
-    fn check_sum_axes_and_div() {
-        let x = Rng::seed_from_u64(15).uniform_tensor(&[3, 4], 0.5, 1.5);
-        check_scalar(&x, 1e-3, |_t, v| {
-            let s = v.sum_axes(&[1], true);
-            v.div(s).powf(2.0).sum_all()
-        })
-        .assert_close(TOL);
-    }
-
-    #[test]
-    fn check_l2_normalize() {
-        let x = Rng::seed_from_u64(16).uniform_tensor(&[2, 5], 0.3, 1.0);
-        check_scalar(&x, 1e-3, |t, v| {
-            let w = t.constant(rand_t(&[2, 5], 17));
-            v.l2_normalize(1).mul(w).sum_all()
-        })
-        .assert_close(TOL);
-    }
-
-    #[test]
-    fn check_concat_paths() {
-        let x = rand_t(&[2, 3], 18);
-        check_scalar(&x, EPS, |t, v| {
-            let a = v.narrow(1, 0, 1);
-            let b = v.narrow(1, 1, 2).scale(2.0);
-            let c = t.concat(&[a, b], 1);
-            c.powf(2.0).sum_all()
-        })
-        .assert_close(TOL);
-    }
-
-    #[test]
-    fn check_leaky_relu() {
-        let x = rand_t(&[10], 19);
-        check_scalar(&x, 1e-3, |_t, v| v.leaky_relu(0.1).powf(2.0).sum_all()).assert_close(TOL);
-    }
-
-    #[test]
-    fn check_mean_axes_keepdim() {
-        let x = rand_t(&[2, 3, 2], 20);
-        check_scalar(&x, EPS, |_t, v| {
-            v.mean_axes(&[1], true).powf(2.0).sum_all()
-        })
-        .assert_close(TOL);
+        let mut covered = [false; crate::opprof::OP_KINDS];
+        for (name, x, eps, build) in rows {
+            let tape = Tape::new();
+            build(&tape, tape.leaf(x.clone()));
+            for node in tape.nodes.borrow().iter() {
+                if let Some(k) = crate::autodiff::kind_index(&node.op) {
+                    covered[k] = true;
+                }
+            }
+            let check = check_scalar(&x, eps, build);
+            assert!(
+                check.max_abs_err < TOL && check.max_rel_err < TOL,
+                "{name}: {check:?} (tol {TOL})"
+            );
+        }
+        let missing: Vec<&str> = (0..crate::opprof::OP_KINDS)
+            .filter(|&k| !covered[k])
+            .map(|k| crate::opprof::OP_NAMES[k])
+            .collect();
+        assert!(missing.is_empty(), "op kinds without a gradcheck row: {missing:?}");
     }
 }

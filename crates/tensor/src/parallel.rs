@@ -7,13 +7,15 @@
 //! * **Persistent workers.** Worker threads are spawned once (lazily, on
 //!   first use) and live for the process; each worker owns its own task
 //!   channel. There is no per-call thread spawn cost.
-//! * **Caller participates.** A `parallel_for` over `c` chunks sends
-//!   `c − 1` chunks to workers and runs the first chunk on the calling
-//!   thread, so `URCL_THREADS=1` never touches a channel.
+//! * **Caller participates.** The calling thread is participant 0 and
+//!   the `w` workers are participants `1..=w`; chunk *i* runs on
+//!   participant *i mod (w + 1)*, so the caller takes its share of the
+//!   chunks instead of waiting on queued ones, and `URCL_THREADS=1`
+//!   never touches a channel.
 //! * **Deterministic chunking.** Chunk boundaries are a pure function of
-//!   `(n, grain, active threads)` and chunk *i* always goes to worker
-//!   *(i − 1) mod workers*, where the worker count is capped at the
-//!   host's physical parallelism (surplus chunks queue; on a single-core
+//!   `(n, grain, active threads)` and the chunk-to-participant map is
+//!   fixed, where the worker count is capped at the host's physical
+//!   parallelism (surplus chunks share participants; on a single-core
 //!   host everything runs inline — scheduling changes, results don't).
 //!   Kernels built on this runtime parallelize only over disjoint
 //!   output regions and never split a reduction axis, so results are
@@ -164,7 +166,7 @@ pub struct PoolStats {
     /// Calls that ran entirely on the calling thread (small `n`, one
     /// active thread, or a nested call inside a worker).
     pub inline_calls: u64,
-    /// Chunks sent to worker threads (excludes the caller's own chunk).
+    /// Chunks sent to worker threads (excludes the caller's own chunks).
     pub chunks_dispatched: u64,
     /// Total items (`n`) handed to `parallel_for`, inline calls included.
     /// `par_items / (par_calls + inline_calls)` is the mean region size —
@@ -234,9 +236,10 @@ where
     let max_chunks = n.div_ceil(grain);
     let chunks = threads.min(max_chunks).max(1);
     // Chunks beyond the host's physical parallelism buy no concurrency;
-    // on a single-core host skip dispatch entirely and otherwise queue the
-    // surplus round-robin onto the real workers. Chunk boundaries are
-    // already fixed above, so this cannot change any result bit.
+    // on a single-core host skip dispatch entirely and otherwise deal the
+    // surplus round-robin over the caller and the real workers. Chunk
+    // boundaries are already fixed above, so this cannot change any
+    // result bit.
     let send_workers = host_threads().saturating_sub(1).min(chunks - 1);
     PAR_ITEMS.fetch_add(n as u64, Ordering::Relaxed);
     if chunks == 1 || send_workers == 0 || IN_WORKER.with(|flag| flag.get()) {
@@ -244,8 +247,11 @@ where
         f(0..n);
         return;
     }
+    // Participant 0 is the caller, participant p > 0 is worker p - 1.
+    let participants = send_workers + 1;
+    let sent = chunks - chunks.div_ceil(participants);
     PAR_CALLS.fetch_add(1, Ordering::Relaxed);
-    CHUNKS_DISPATCHED.fetch_add(chunks as u64 - 1, Ordering::Relaxed);
+    CHUNKS_DISPATCHED.fetch_add(sent as u64, Ordering::Relaxed);
 
     // Even split: the first `rem` chunks get one extra index.
     let base = n / chunks;
@@ -265,11 +271,11 @@ where
             let idx = workers.len();
             workers.push(spawn_worker(idx));
         }
-        // Deterministic assignment: chunk i always lands on worker
-        // (i-1) % send_workers, so each worker sees the same chunk sizes
-        // (and thus requests the same pooled buffer lengths) every step.
-        for i in 1..chunks {
-            workers[(i - 1) % send_workers]
+        // Deterministic assignment: chunk i always lands on participant
+        // i % participants, so each thread sees the same chunk sizes (and
+        // thus requests the same pooled buffer lengths) every step.
+        for i in (0..chunks).filter(|i| i % participants != 0) {
+            workers[i % participants - 1]
                 .send(Task {
                     func: erased,
                     range: bounds(i)..bounds(i + 1),
@@ -280,12 +286,18 @@ where
     }
     drop(done_tx);
 
-    // The caller runs chunk 0 while workers run the rest.
-    f(bounds(0)..bounds(1));
+    // The caller runs its own chunks while workers run theirs. A panic
+    // here is held until every worker has acknowledged, since the workers
+    // still borrow `f`.
+    let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        for i in (0..chunks).step_by(participants) {
+            f(bounds(i)..bounds(i + 1));
+        }
+    }));
 
     let wait_start = std::time::Instant::now();
     let mut panic: Option<String> = None;
-    for _ in 1..chunks {
+    for _ in 0..sent {
         match done_rx.recv() {
             Ok(Ok(())) => {}
             Ok(Err(msg)) => panic = Some(msg),
@@ -293,6 +305,9 @@ where
         }
     }
     PAR_WAIT_NS.fetch_add(wait_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    if let Err(p) = own {
+        std::panic::resume_unwind(p);
+    }
     if let Some(msg) = panic {
         panic!("parallel_for worker panicked: {msg}");
     }
@@ -394,6 +409,35 @@ mod tests {
         });
         set_threads(prev);
         assert!(count.load(Ordering::Relaxed) <= 2);
+    }
+
+    #[test]
+    fn caller_takes_its_share_of_the_chunks() {
+        let _guard = lock();
+        let prev = set_threads(4);
+        let chunks = 4;
+        let ran: Mutex<Vec<(usize, std::thread::ThreadId)>> = Mutex::new(Vec::new());
+        parallel_for(chunks, 1, |r| {
+            ran.lock().unwrap().push((r.start, std::thread::current().id()));
+        });
+        set_threads(prev);
+        let mut ran = ran.into_inner().unwrap();
+        ran.sort_by_key(|&(chunk, _)| chunk);
+        assert_eq!(ran.len(), chunks);
+        // Chunk i runs on participant i % participants; the caller is
+        // participant 0 and each worker is a thread of its own.
+        let participants = host_parallelism().min(chunks);
+        let caller = std::thread::current().id();
+        for &(i, tid) in &ran {
+            let same = ran[i % participants].1;
+            assert_eq!(tid, same, "chunk {i} left its participant");
+            assert_eq!(tid == caller, i % participants == 0, "chunk {i} on the wrong side");
+        }
+        for p in 1..participants {
+            for q in 0..p {
+                assert_ne!(ran[p].1, ran[q].1, "participants {q} and {p} share a thread");
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,15 @@
 //!   [`ParamStore`] and recorded constants from the plan's captured set;
 //!   nothing is cloned onto a tape per step.
 //!
+//! ## A scheduler, not a second set of rules
+//!
+//! The plan holds no per-op arithmetic of its own. Every forward runs
+//! `Op::eval` (fused runs apply [`Unary::apply`] per stage), every
+//! gradient runs `Op::backward` — the same rule the interpreter runs —
+//! and the values kept alive for the backward pass are exactly those
+//! `Op::grad_reads` lists. What the plan adds is scheduling: which
+//! nodes and edges run, in which order, and when each buffer dies.
+//!
 //! ## Bitwise parity contract
 //!
 //! Replaying a plan is **bitwise identical** to re-recording and
@@ -60,9 +69,8 @@
 //! [`ExecPlan::compile`] remains for gradcheck and the parity suites.
 
 use crate::autodiff::{
-    accumulate, accumulate_ref, conv1d_backward_dw_with_cols, conv1d_backward_dx,
-    conv1d_backward_dw, conv1d_dw_cols, fused_map2, fused_map3,
-    fused_mul_acc, fused_scale_acc, narrow_scatter, Gradients, Op, Tape,
+    conv1d_backward_dw, conv1d_backward_dw_with_cols, conv1d_dw_cols, kind_index, GradCtx,
+    Gradients, Op, Tape, Unary,
 };
 use crate::parallel::{par_fill, PAR_MIN_ELEMS};
 use crate::params::{ParamId, ParamStore};
@@ -291,71 +299,6 @@ enum Source {
     Captured(usize),
 }
 
-/// One stage of a fused unary elementwise run. Each stage's arithmetic is
-/// the exact per-element function the matching [`Op`]'s forward closure
-/// applies, and every stage rounds to `f32`, so a fused run is bitwise
-/// identical to materializing each intermediate.
-#[derive(Debug, Clone, Copy)]
-enum Stage {
-    Neg,
-    Scale(f32),
-    AddScalar(f32),
-    PowF(f32),
-    Exp,
-    Ln,
-    Sqrt,
-    Abs,
-    Relu,
-    LeakyRelu(f32),
-    Sigmoid,
-    Tanh,
-}
-
-impl Stage {
-    #[inline(always)]
-    fn apply(self, v: f32) -> f32 {
-        match self {
-            Stage::Neg => v * -1.0,
-            Stage::Scale(c) => v * c,
-            Stage::AddScalar(c) => v + c,
-            Stage::PowF(p) => v.powf(p),
-            Stage::Exp => v.exp(),
-            Stage::Ln => v.ln(),
-            Stage::Sqrt => v.sqrt(),
-            Stage::Abs => v.abs(),
-            Stage::Relu => v.max(0.0),
-            Stage::LeakyRelu(s) => {
-                if v > 0.0 {
-                    v
-                } else {
-                    s * v
-                }
-            }
-            Stage::Sigmoid => 1.0 / (1.0 + (-v).exp()),
-            Stage::Tanh => v.tanh(),
-        }
-    }
-}
-
-/// Maps a unary elementwise op to its fused stage and input index.
-fn stage_of(op: &Op) -> Option<(Stage, usize)> {
-    Some(match *op {
-        Op::Neg(a) => (Stage::Neg, a),
-        Op::Scale(a, c) => (Stage::Scale(c), a),
-        Op::AddScalar(a, c) => (Stage::AddScalar(c), a),
-        Op::PowF(a, p) => (Stage::PowF(p), a),
-        Op::Exp(a) => (Stage::Exp, a),
-        Op::Ln(a) => (Stage::Ln, a),
-        Op::Sqrt(a) => (Stage::Sqrt, a),
-        Op::Abs(a) => (Stage::Abs, a),
-        Op::Relu(a) => (Stage::Relu, a),
-        Op::LeakyRelu(a, s) => (Stage::LeakyRelu(s), a),
-        Op::Sigmoid(a) => (Stage::Sigmoid, a),
-        Op::Tanh(a) => (Stage::Tanh, a),
-        _ => return None,
-    })
-}
-
 /// Same-shape binary ops with a direct-loop fast path.
 #[derive(Debug, Clone, Copy)]
 enum BinKind {
@@ -372,10 +315,12 @@ enum NodeExec {
     /// forward code no output depends on.
     Skip,
     /// Fused unary elementwise run ending at this node: apply `stages`
-    /// to the value of `src` in a single pass.
+    /// ([`Unary::apply`] each, rounding to `f32` per stage exactly like
+    /// materializing every intermediate) to the value of `src` in a
+    /// single pass.
     Run {
         src: usize,
-        stages: Vec<Stage>,
+        stages: Vec<Unary>,
         par: bool,
     },
     /// Same-shape binary elementwise op, direct-loop.
@@ -390,44 +335,8 @@ enum NodeExec {
     /// separate `[1, C, 1]` broadcast add would produce (same per-element
     /// pairing, no reassociation).
     ConvBias { conv: usize, bias: usize },
-    /// Everything else: evaluate through the same `Tensor` methods the
-    /// recording closures used.
+    /// Everything else: [`Op::eval`], the forward the tape records with.
     General,
-}
-
-/// Appends the tape indices `op` reads to `out`.
-fn op_inputs(op: &Op, out: &mut Vec<usize>) {
-    match op {
-        Op::Leaf | Op::Constant => {}
-        Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) | Op::MatMul(a, b) => {
-            out.push(*a);
-            out.push(*b);
-        }
-        Op::Neg(a)
-        | Op::Scale(a, _)
-        | Op::AddScalar(a, _)
-        | Op::PowF(a, _)
-        | Op::Exp(a)
-        | Op::Ln(a)
-        | Op::Sqrt(a)
-        | Op::Abs(a)
-        | Op::Relu(a)
-        | Op::LeakyRelu(a, _)
-        | Op::Sigmoid(a)
-        | Op::Tanh(a)
-        | Op::Permute(a, _)
-        | Op::Reshape(a)
-        | Op::SumAll(a)
-        | Op::MeanAll(a)
-        | Op::Softmax(a, _)
-        | Op::Detach(a) => out.push(*a),
-        Op::SumAxes { input, .. } | Op::Narrow { input, .. } => out.push(*input),
-        Op::Conv1d { input, weight, .. } => {
-            out.push(*input);
-            out.push(*weight);
-        }
-        Op::Concat { inputs, .. } => out.extend_from_slice(inputs),
-    }
 }
 
 // ------------------------------------------------------------------ plan
@@ -620,7 +529,7 @@ impl ExecPlan {
                 Op::Constant | Op::Detach(_) => false,
                 op => {
                     scratch.clear();
-                    op_inputs(op, &mut scratch);
+                    op.inputs(&mut scratch);
                     scratch.iter().any(|&a| useful[a])
                 }
             };
@@ -636,7 +545,7 @@ impl ExecPlan {
                     continue;
                 }
                 scratch.clear();
-                op_inputs(&ops[i], &mut scratch);
+                ops[i].inputs(&mut scratch);
                 for &a in &scratch {
                     if useful[a] {
                         reached[a] = true;
@@ -661,17 +570,15 @@ impl ExecPlan {
                 continue;
             }
             scratch.clear();
-            op_inputs(&ops[i], &mut scratch);
+            ops[i].inputs(&mut scratch);
             for &a in &scratch {
                 needed_fwd[a] = true;
             }
         }
 
         // --- keep_value[i]: the forward value survives past its last
-        // forward consumer because a backward rule reads it. Own-output
-        // rules (exp, sqrt, sigmoid, tanh, softmax) keep their own value
-        // when reached; consumer rules keep the sibling operand they
-        // multiply by. Shape-only rules keep nothing.
+        // forward consumer because a backward rule reads it
+        // (`Op::grad_reads`).
         let mut keep_value = vec![false; n];
         if let Some(root) = spec.root {
             keep_value[root] = true; // the loss value is returned
@@ -680,59 +587,8 @@ impl ExecPlan {
             keep_value[o] = true;
         }
         for i in 0..n {
-            if !reached[i] {
-                continue;
-            }
-            match &ops[i] {
-                Op::Exp(_) | Op::Sqrt(_) | Op::Sigmoid(_) | Op::Tanh(_) | Op::Softmax(..) => {
-                    keep_value[i] = true;
-                }
-                _ => {}
-            }
-            match &ops[i] {
-                Op::Mul(a, b) => {
-                    if useful[*a] {
-                        keep_value[*b] = true;
-                    }
-                    if useful[*b] {
-                        keep_value[*a] = true;
-                    }
-                }
-                Op::Div(a, b) => {
-                    if useful[*a] {
-                        keep_value[*b] = true;
-                    }
-                    if useful[*b] {
-                        keep_value[*a] = true;
-                        keep_value[*b] = true;
-                    }
-                }
-                Op::PowF(a, _)
-                | Op::Ln(a)
-                | Op::Abs(a)
-                | Op::Relu(a)
-                | Op::LeakyRelu(a, _) => {
-                    if useful[*a] {
-                        keep_value[*a] = true;
-                    }
-                }
-                Op::MatMul(a, b) => {
-                    if useful[*a] {
-                        keep_value[*b] = true;
-                    }
-                    if useful[*b] {
-                        keep_value[*a] = true;
-                    }
-                }
-                Op::Conv1d { input, weight, .. } => {
-                    if useful[*input] {
-                        keep_value[*weight] = true;
-                    }
-                    if useful[*weight] {
-                        keep_value[*input] = true;
-                    }
-                }
-                _ => {}
+            if reached[i] {
+                ops[i].grad_reads(i, |j| useful[j], &mut keep_value);
             }
         }
 
@@ -745,7 +601,7 @@ impl ExecPlan {
                 continue;
             }
             scratch.clear();
-            op_inputs(&ops[i], &mut scratch);
+            ops[i].inputs(&mut scratch);
             for &a in &scratch {
                 refs[a] += 1;
                 last_use[a] = i;
@@ -770,87 +626,80 @@ impl ExecPlan {
                 exec.push(NodeExec::Skip);
                 continue;
             }
-            let e = match stage_of(&ops[i]) {
-                Some((stage, a)) => {
+            let e = match &ops[i] {
+                &Op::Unary(a, stage) => {
                     // Extend the input's run when it can be fused away.
                     let fuse_prev = matches!(source[a], Source::Computed)
                         && refs[a] == 1
                         && !keep_value[a]
                         && matches!(exec[a], NodeExec::Run { .. });
+                    let par = numel(&shapes[i]) >= PAR_MIN_ELEMS;
                     if fuse_prev {
-                        let NodeExec::Run { src, stages, .. } = std::mem::replace(
-                            &mut exec[a],
-                            NodeExec::Skip,
-                        ) else {
+                        let NodeExec::Run { src, mut stages, .. } =
+                            std::mem::replace(&mut exec[a], NodeExec::Skip)
+                        else {
                             unreachable!()
                         };
-                        let mut stages = stages;
                         stages.push(stage);
                         fused_stages += 1;
-                        NodeExec::Run {
-                            src,
-                            stages,
-                            par: numel(&shapes[i]) >= PAR_MIN_ELEMS,
-                        }
+                        NodeExec::Run { src, stages, par }
                     } else {
                         NodeExec::Run {
                             src: a,
                             stages: vec![stage],
-                            par: numel(&shapes[i]) >= PAR_MIN_ELEMS,
+                            par,
                         }
                     }
                 }
-                None => match &ops[i] {
-                    Op::Reshape(a)
-                        if matches!(source[*a], Source::Computed)
-                            && refs[*a] == 1
-                            && !keep_value[*a]
-                            && !matches!(exec[*a], NodeExec::Skip) =>
-                    {
-                        NodeExec::MoveReshape(*a)
+                Op::Reshape(a)
+                    if matches!(source[*a], Source::Computed)
+                        && refs[*a] == 1
+                        && !keep_value[*a]
+                        && !matches!(exec[*a], NodeExec::Skip) =>
+                {
+                    NodeExec::MoveReshape(*a)
+                }
+                Op::Detach(a)
+                    if matches!(source[*a], Source::Computed)
+                        && refs[*a] == 1
+                        && !keep_value[*a]
+                        && !matches!(exec[*a], NodeExec::Skip) =>
+                {
+                    NodeExec::MoveDetach(*a)
+                }
+                // Same-shape in *both* recordings: per-dim affine forms
+                // equal at two adjacent batches are equal at every batch,
+                // so the direct-loop fast path stays exact for any replay
+                // size.
+                Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b)
+                    if shapes[*a] == shapes[i]
+                        && shapes[*b] == shapes[i]
+                        && poly_shapes
+                            .map_or(true, |s1| s1[*a] == s1[i] && s1[*b] == s1[i]) =>
+                {
+                    let kind = match &ops[i] {
+                        Op::Add(..) => BinKind::Add,
+                        Op::Sub(..) => BinKind::Sub,
+                        Op::Mul(..) => BinKind::Mul,
+                        _ => BinKind::Div,
+                    };
+                    NodeExec::Bin {
+                        kind,
+                        a: *a,
+                        b: *b,
+                        par: numel(&shapes[i]) >= PAR_MIN_ELEMS,
                     }
-                    Op::Detach(a)
-                        if matches!(source[*a], Source::Computed)
-                            && refs[*a] == 1
-                            && !keep_value[*a]
-                            && !matches!(exec[*a], NodeExec::Skip) =>
-                    {
-                        NodeExec::MoveDetach(*a)
-                    }
-                    // Same-shape in *both* recordings: per-dim affine
-                    // forms equal at two adjacent batches are equal at
-                    // every batch, so the direct-loop fast path stays
-                    // exact for any replay size.
-                    Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b)
-                        if shapes[*a] == shapes[i]
-                            && shapes[*b] == shapes[i]
-                            && poly_shapes
-                                .map_or(true, |s1| s1[*a] == s1[i] && s1[*b] == s1[i]) =>
-                    {
-                        let kind = match &ops[i] {
-                            Op::Add(..) => BinKind::Add,
-                            Op::Sub(..) => BinKind::Sub,
-                            Op::Mul(..) => BinKind::Mul,
-                            _ => BinKind::Div,
-                        };
-                        NodeExec::Bin {
-                            kind,
-                            a: *a,
-                            b: *b,
-                            par: numel(&shapes[i]) >= PAR_MIN_ELEMS,
-                        }
-                    }
-                    _ => NodeExec::General,
-                },
+                }
+                _ => NodeExec::General,
             };
             exec.push(e);
         }
 
         // --- Demote single-stage runs: a fused run only wins when it
         // eliminates an intermediate buffer. A lone stage pays per-element
-        // enum dispatch that the interpreter's monomorphized closures
-        // (e.g. `map(|v| v.max(0.0))` vectorizing to maxps) do not, so
-        // route it through the same `Tensor` method the recorder used.
+        // enum dispatch that `Op::eval`'s monomorphized closures (e.g.
+        // relu's `map` vectorizing to maxps) do not, so route it through
+        // the same forward the recorder used.
         for e in &mut exec {
             if matches!(e, NodeExec::Run { stages, .. } if stages.len() == 1) {
                 *e = NodeExec::General;
@@ -989,7 +838,7 @@ impl ExecPlan {
                 }
                 bwd_order.push(i);
                 scratch.clear();
-                op_inputs(&ops[i], &mut scratch);
+                ops[i].inputs(&mut scratch);
                 dead_edges += scratch.iter().filter(|&&a| !useful[a]).count() as u64;
             }
         }
@@ -1275,13 +1124,14 @@ impl ExecPlan {
                         Some(_) => self.conv_forward_shared(
                             values, store, inputs, shapes, i, None, &mut panels,
                         ),
-                        None => self.eval_general(values, store, inputs, shapes, i),
+                        None => self.ops[i]
+                            .eval(|j| self.value(values, store, inputs, j), &shapes[i]),
                     };
                     values[i] = Some(out);
                 }
             }
             if let Some(t0) = t0 {
-                if let Some(k) = crate::autodiff::kind_index(&self.ops[i]) {
+                if let Some(k) = kind_index(&self.ops[i]) {
                     crate::opprof::record_forward(k, t0.elapsed().as_nanos() as u64);
                 }
             }
@@ -1351,79 +1201,11 @@ impl ExecPlan {
         }
     }
 
-    /// Evaluates one op through the same `Tensor` methods the recording
-    /// closures in [`crate::autodiff`] use — bitwise identical forward.
-    fn eval_general(
-        &self,
-        values: &[Option<Tensor>],
-        store: &ParamStore,
-        inputs: &[&Tensor],
-        shapes: &[Vec<usize>],
-        i: usize,
-    ) -> Tensor {
-        let v = |a: usize| self.value(values, store, inputs, a);
-        match &self.ops[i] {
-            Op::Leaf | Op::Constant => unreachable!("source nodes are never executed"),
-            Op::Add(a, b) => v(*a).add(v(*b)),
-            Op::Sub(a, b) => v(*a).sub(v(*b)),
-            Op::Mul(a, b) => v(*a).mul(v(*b)),
-            Op::Div(a, b) => v(*a).div(v(*b)),
-            // Unary elementwise ops normally run as fused runs; these arms
-            // exist for completeness (e.g. a plan compiled from a tape
-            // where the op's input is itself an op with no Run repr).
-            Op::Neg(a) => v(*a).scale(-1.0),
-            Op::Scale(a, c) => v(*a).scale(*c),
-            Op::AddScalar(a, c) => v(*a).add_scalar(*c),
-            Op::PowF(a, p) => {
-                let p = *p;
-                v(*a).map(|x| x.powf(p))
-            }
-            Op::Exp(a) => v(*a).map(f32::exp),
-            Op::Ln(a) => v(*a).map(f32::ln),
-            Op::Sqrt(a) => v(*a).map(f32::sqrt),
-            Op::Abs(a) => v(*a).map(f32::abs),
-            Op::Relu(a) => v(*a).map(|x| x.max(0.0)),
-            Op::LeakyRelu(a, s) => {
-                let s = *s;
-                v(*a).map(move |x| if x > 0.0 { x } else { s * x })
-            }
-            Op::Sigmoid(a) => v(*a).map(|x| 1.0 / (1.0 + (-x).exp())),
-            Op::Tanh(a) => v(*a).map(f32::tanh),
-            Op::MatMul(a, b) => v(*a).matmul(v(*b)),
-            Op::Permute(a, perm) => v(*a).permute(perm),
-            Op::Reshape(a) => v(*a).clone().reshape(&shapes[i]),
-            Op::SumAxes {
-                input,
-                axes,
-                keepdim,
-            } => v(*input).sum_axes(axes, *keepdim),
-            Op::SumAll(a) => Tensor::scalar(v(*a).sum_all()),
-            Op::MeanAll(a) => Tensor::scalar(v(*a).mean_all()),
-            Op::Softmax(a, axis) => v(*a).softmax(*axis),
-            Op::Concat { inputs: parts, axis } => {
-                let tensors: Vec<&Tensor> = parts.iter().map(|&p| v(p)).collect();
-                Tensor::concat(&tensors, *axis)
-            }
-            Op::Narrow {
-                input,
-                axis,
-                start,
-                len,
-            } => v(*input).narrow(*axis, *start, *len),
-            Op::Conv1d {
-                input,
-                weight,
-                dilation,
-                pad_left,
-            } => v(*input).conv1d(v(*weight), *dilation, *pad_left),
-            Op::Detach(a) => v(*a).clone(),
-        }
-    }
-
-    /// The backward walk: mirrors [`Tape::backward`]'s rules arm for arm,
-    /// but only over the precomputed `bwd_order` schedule, with dead
-    /// edges (gradients into constants) never evaluated and per-slot
-    /// accumulation order preserved exactly.
+    /// The backward walk over the precomputed `bwd_order` schedule: each
+    /// node applies [`Op::backward`] — the interpreter's rule — through a
+    /// [`PlanGradCtx`] that never evaluates dead edges (gradients into
+    /// constants) and shares conv dw panels. After its rule runs, a
+    /// node's own value is dead and is recycled for gradient buffers.
     fn backward(
         &self,
         values: &mut [Option<Tensor>],
@@ -1436,370 +1218,89 @@ impl ExecPlan {
         grads.resize_with(self.ops.len(), || None);
         grads[root] = Some(Tensor::ones(&shapes[root]));
         let prof = crate::opprof::op_profile_enabled();
-        let uf = |a: usize| self.useful[a];
-        // Shared dw im2col panels, keyed by conv group id; built by the
-        // first group member processed, recycled once the walk finishes.
-        let mut dw_panels: Vec<(u32, pool::Buffer)> = Vec::new();
-        for bi in 0..self.bwd_order.len() {
-            let i = self.bwd_order[bi];
+        let mut ctx = PlanGradCtx {
+            plan: self,
+            values,
+            store,
+            inputs,
+            shapes,
+            dw_panels: Vec::new(),
+        };
+        for &i in &self.bwd_order {
             let t0 = prof.then(std::time::Instant::now);
             let g = grads[i]
                 .take()
                 .unwrap_or_else(|| panic!("plan backward bug: node {i} reached but has no grad"));
-            match &self.ops[i] {
-                Op::Leaf | Op::Constant => unreachable!("leaves are not scheduled"),
-                Op::Add(a, b) => {
-                    let (a, b) = (*a, *b);
-                    match (uf(a), uf(b)) {
-                        (true, true) => {
-                            if shapes[a] == shapes[i] {
-                                accumulate_ref(&mut grads, a, &g);
-                            } else {
-                                accumulate(&mut grads, a, g.reduce_to_shape(&shapes[a]));
-                            }
-                            if shapes[b] == shapes[i] {
-                                accumulate(&mut grads, b, g); // final edge: move, not clone
-                            } else {
-                                accumulate(&mut grads, b, g.reduce_to_shape(&shapes[b]));
-                            }
-                        }
-                        (true, false) => {
-                            if shapes[a] == shapes[i] {
-                                accumulate(&mut grads, a, g);
-                            } else {
-                                accumulate(&mut grads, a, g.reduce_to_shape(&shapes[a]));
-                            }
-                        }
-                        (false, true) => {
-                            if shapes[b] == shapes[i] {
-                                accumulate(&mut grads, b, g);
-                            } else {
-                                accumulate(&mut grads, b, g.reduce_to_shape(&shapes[b]));
-                            }
-                        }
-                        (false, false) => unreachable!("node reached with no useful edge"),
-                    }
-                }
-                Op::Sub(a, b) => {
-                    let (a, b) = (*a, *b);
-                    // Interpreter order is a then b; when the indices
-                    // differ the contributions land in different slots, so
-                    // evaluating b's (which borrows g) first lets a's
-                    // identity edge move g instead of cloning it.
-                    if uf(b) && (a != b || !uf(a)) {
-                        if shapes[b] == shapes[i] {
-                            fused_scale_acc(&mut grads, b, &g, -1.0);
-                        } else {
-                            accumulate(
-                                &mut grads,
-                                b,
-                                g.scale(-1.0).reduce_to_shape(&shapes[b]),
-                            );
-                        }
-                        if uf(a) {
-                            if shapes[a] == shapes[i] {
-                                accumulate(&mut grads, a, g);
-                            } else {
-                                accumulate(&mut grads, a, g.reduce_to_shape(&shapes[a]));
-                            }
-                        }
-                    } else {
-                        // a == b (or only a useful): keep interpreter order.
-                        if uf(a) {
-                            if shapes[a] == shapes[i] {
-                                accumulate_ref(&mut grads, a, &g);
-                            } else {
-                                accumulate(&mut grads, a, g.reduce_to_shape(&shapes[a]));
-                            }
-                        }
-                        if uf(b) {
-                            if shapes[b] == shapes[i] {
-                                fused_scale_acc(&mut grads, b, &g, -1.0);
-                            } else {
-                                accumulate(
-                                    &mut grads,
-                                    b,
-                                    g.scale(-1.0).reduce_to_shape(&shapes[b]),
-                                );
-                            }
-                        }
-                    }
-                }
-                Op::Mul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    if shapes[a] == shapes[i] && shapes[b] == shapes[i] {
-                        if uf(a) {
-                            fused_mul_acc(&mut grads, a, &g, self.value(values, store, inputs, b));
-                        }
-                        if uf(b) {
-                            fused_mul_acc(&mut grads, b, &g, self.value(values, store, inputs, a));
-                        }
-                    } else {
-                        if uf(a) {
-                            let ga = g
-                                .mul(self.value(values, store, inputs, b))
-                                .reduce_to_shape(&shapes[a]);
-                            accumulate(&mut grads, a, ga);
-                        }
-                        if uf(b) {
-                            let gb = g
-                                .mul(self.value(values, store, inputs, a))
-                                .reduce_to_shape(&shapes[b]);
-                            accumulate(&mut grads, b, gb);
-                        }
-                    }
-                }
-                Op::Div(a, b) => {
-                    let (a, b) = (*a, *b);
-                    if shapes[a] == shapes[i] && shapes[b] == shapes[i] {
-                        if uf(a) {
-                            fused_map2(
-                                &mut grads,
-                                a,
-                                &g,
-                                self.value(values, store, inputs, b),
-                                |gv, b| gv / b,
-                            );
-                        }
-                        if uf(b) {
-                            fused_map3(
-                                &mut grads,
-                                b,
-                                &g,
-                                self.value(values, store, inputs, a),
-                                self.value(values, store, inputs, b),
-                                |gv, a, b| ((gv * a) / (b * b)) * -1.0,
-                            );
-                        }
-                    } else {
-                        if uf(a) {
-                            let ga = g
-                                .div(self.value(values, store, inputs, b))
-                                .reduce_to_shape(&shapes[a]);
-                            accumulate(&mut grads, a, ga);
-                        }
-                        if uf(b) {
-                            let bv = self.value(values, store, inputs, b);
-                            let gb = g
-                                .mul(self.value(values, store, inputs, a))
-                                .div(&bv.mul(bv))
-                                .scale(-1.0)
-                                .reduce_to_shape(&shapes[b]);
-                            accumulate(&mut grads, b, gb);
-                        }
-                    }
-                }
-                Op::Neg(a) => fused_scale_acc(&mut grads, *a, &g, -1.0),
-                Op::Scale(a, c) => fused_scale_acc(&mut grads, *a, &g, *c),
-                Op::AddScalar(a, _) => accumulate(&mut grads, *a, g),
-                Op::PowF(a, p) => {
-                    let p = *p;
-                    let av = self.value(values, store, inputs, *a);
-                    fused_map2(&mut grads, *a, &g, av, move |gv, v| {
-                        gv * (p * v.powf(p - 1.0))
-                    });
-                }
-                Op::Exp(a) => {
-                    let y = self.value(values, store, inputs, i);
-                    fused_map2(&mut grads, *a, &g, y, |gv, y| gv * y);
-                }
-                Op::Ln(a) => {
-                    let av = self.value(values, store, inputs, *a);
-                    fused_map2(&mut grads, *a, &g, av, |gv, v| gv / v);
-                }
-                Op::Sqrt(a) => {
-                    let y = self.value(values, store, inputs, i);
-                    fused_map2(&mut grads, *a, &g, y, |gv, y| gv / (y * 2.0));
-                }
-                Op::Abs(a) => {
-                    let sign = |v: f32| {
-                        if v > 0.0 {
-                            1.0
-                        } else if v < 0.0 {
-                            -1.0
-                        } else {
-                            0.0
-                        }
-                    };
-                    let av = self.value(values, store, inputs, *a);
-                    fused_map2(&mut grads, *a, &g, av, |gv, v| gv * sign(v));
-                }
-                Op::Relu(a) => {
-                    let av = self.value(values, store, inputs, *a);
-                    fused_map2(&mut grads, *a, &g, av, |gv, v| {
-                        gv * if v > 0.0 { 1.0 } else { 0.0 }
-                    });
-                }
-                Op::LeakyRelu(a, slope) => {
-                    let s = *slope;
-                    let av = self.value(values, store, inputs, *a);
-                    fused_map2(&mut grads, *a, &g, av, move |gv, v| {
-                        gv * if v > 0.0 { 1.0 } else { s }
-                    });
-                }
-                Op::Sigmoid(a) => {
-                    let y = self.value(values, store, inputs, i);
-                    fused_map2(&mut grads, *a, &g, y, |gv, y| gv * (y * (1.0 - y)));
-                }
-                Op::Tanh(a) => {
-                    let y = self.value(values, store, inputs, i);
-                    fused_map2(&mut grads, *a, &g, y, |gv, y| gv * (1.0 - y * y));
-                }
-                Op::MatMul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    if uf(a) {
-                        let ga = g.matmul_nt(self.value(values, store, inputs, b));
-                        let ga = if ga.shape() == &shapes[a][..] {
-                            ga
-                        } else {
-                            ga.reduce_to_shape(&shapes[a])
-                        };
-                        accumulate(&mut grads, a, ga);
-                    }
-                    if uf(b) {
-                        let gb = self.value(values, store, inputs, a).matmul_tn(&g);
-                        let gb = if gb.shape() == &shapes[b][..] {
-                            gb
-                        } else {
-                            gb.reduce_to_shape(&shapes[b])
-                        };
-                        accumulate(&mut grads, b, gb);
-                    }
-                }
-                Op::Permute(a, perm) => {
-                    let mut inv = vec![0usize; perm.len()];
-                    for (i, &p) in perm.iter().enumerate() {
-                        inv[p] = i;
-                    }
-                    accumulate(&mut grads, *a, g.permute(&inv));
-                }
-                Op::Reshape(a) => {
-                    accumulate(&mut grads, *a, g.reshape(&shapes[*a]));
-                }
-                Op::SumAxes {
-                    input,
-                    axes,
-                    keepdim,
-                } => {
-                    let in_shape = &shapes[*input];
-                    let keep_shape: Vec<usize> = {
-                        let mut s = in_shape.clone();
-                        for &a in axes {
-                            s[a] = 1;
-                        }
-                        s
-                    };
-                    let gk = if *keepdim { g } else { g.reshape(&keep_shape) };
-                    let expanded = Tensor::zeros(in_shape).add(&gk);
-                    accumulate(&mut grads, *input, expanded);
-                }
-                Op::SumAll(a) => {
-                    let full = Tensor::full(&shapes[*a], g.item());
-                    accumulate(&mut grads, *a, full);
-                }
-                Op::MeanAll(a) => {
-                    let n = numel(&shapes[*a]).max(1) as f32;
-                    let full = Tensor::full(&shapes[*a], g.item() / n);
-                    accumulate(&mut grads, *a, full);
-                }
-                Op::Softmax(a, axis) => {
-                    let y = self.value(values, store, inputs, i);
-                    let gy = g.mul(y);
-                    let s = gy.sum_axes(&[*axis], true);
-                    let dg = y.mul(&g.sub(&s));
-                    accumulate(&mut grads, *a, dg);
-                }
-                Op::Concat { inputs: parts, axis } => {
-                    let mut start = 0;
-                    for &inp in parts {
-                        let len = shapes[inp][*axis];
-                        if uf(inp) {
-                            let part = g.narrow(*axis, start, len);
-                            accumulate(&mut grads, inp, part);
-                        }
-                        start += len;
-                    }
-                }
-                Op::Narrow {
-                    input,
-                    axis,
-                    start,
-                    len,
-                } => {
-                    let dg = narrow_scatter(&g, &shapes[*input], *axis, *start, *len);
-                    accumulate(&mut grads, *input, dg);
-                }
-                Op::Conv1d {
-                    input,
-                    weight,
-                    dilation,
-                    pad_left,
-                } => {
-                    let (input, weight) = (*input, *weight);
-                    if uf(input) {
-                        let dx = conv1d_backward_dx(
-                            &g,
-                            &shapes[input],
-                            self.value(values, store, inputs, weight),
-                            *dilation,
-                            *pad_left,
-                        );
-                        accumulate(&mut grads, input, dx);
-                    }
-                    if uf(weight) {
-                        let x = self.value(values, store, inputs, input);
-                        let t_out = shapes[i][2];
-                        // Panel sharing applies exactly when the dw GEMM
-                        // lowering would run (`conv1d_backward_dw`'s own
-                        // guard); the shared panel holds the same values
-                        // each member would build privately, so bits match.
-                        let dw = match self.conv_group[i] {
-                            Some(gid) if t_out < crate::gemm::NR => {
-                                let k = shapes[weight][2];
-                                if !dw_panels.iter().any(|(g2, _)| *g2 == gid) {
-                                    dw_panels.push((
-                                        gid,
-                                        conv1d_dw_cols(x, k, *dilation, *pad_left, t_out),
-                                    ));
-                                }
-                                let cols =
-                                    &dw_panels.iter().find(|(g2, _)| *g2 == gid).unwrap().1;
-                                conv1d_backward_dw_with_cols(
-                                    &g,
-                                    x.shape(),
-                                    &shapes[weight],
-                                    cols,
-                                )
-                            }
-                            _ => conv1d_backward_dw(
-                                &g,
-                                x,
-                                &shapes[weight],
-                                *dilation,
-                                *pad_left,
-                            ),
-                        };
-                        accumulate(&mut grads, weight, dw);
-                    }
-                }
-                Op::Detach(_) => unreachable!("detach is never reached"),
+            self.ops[i].backward(i, g, &mut ctx, &mut grads);
+            if let (Some(t0), Some(k)) = (t0, kind_index(&self.ops[i])) {
+                crate::opprof::record_backward(k, t0.elapsed().as_nanos() as u64);
             }
-            if let Some(t0) = t0 {
-                if let Some(k) = crate::autodiff::kind_index(&self.ops[i]) {
-                    crate::opprof::record_backward(k, t0.elapsed().as_nanos() as u64);
-                }
-            }
-            // Node i's own value can only be read by itself (own-output
-            // rules, handled above) or by already-processed consumers, so
-            // it is dead from here on: recycle it for gradient buffers.
+            // Node i's value can only be read by its own rule (just run)
+            // or by consumers' rules (run earlier in the walk).
             if matches!(self.source[i], Source::Computed) {
-                values[i] = None;
+                ctx.values[i] = None;
             }
         }
-        for (_, p) in dw_panels {
+        for (_, p) in ctx.dw_panels {
             pool::recycle(p);
         }
         grads
+    }
+}
+
+/// The plan engine's view for [`Op::backward`]: replay values by source,
+/// replay shapes, compile-time dead-edge analysis, and dw im2col panels
+/// shared inside a conv group (built by the first member the walk
+/// reaches, recycled once the walk finishes).
+struct PlanGradCtx<'a> {
+    plan: &'a ExecPlan,
+    values: &'a mut [Option<Tensor>],
+    store: &'a ParamStore,
+    inputs: &'a [&'a Tensor],
+    shapes: &'a [Vec<usize>],
+    dw_panels: Vec<(u32, pool::Buffer)>,
+}
+
+impl GradCtx for PlanGradCtx<'_> {
+    fn value(&self, j: usize) -> &Tensor {
+        self.plan.value(self.values, self.store, self.inputs, j)
+    }
+
+    fn shape(&self, j: usize) -> &[usize] {
+        &self.shapes[j]
+    }
+
+    fn useful(&self, j: usize) -> bool {
+        self.plan.useful[j]
+    }
+
+    fn conv_dw(
+        &mut self,
+        i: usize,
+        g: &Tensor,
+        input: usize,
+        weight: usize,
+        dilation: usize,
+        pad_left: usize,
+    ) -> Tensor {
+        let x = self.plan.value(self.values, self.store, self.inputs, input);
+        let t_out = self.shapes[i][2];
+        // Panel sharing applies exactly when the dw GEMM lowering would
+        // run (`conv1d_backward_dw`'s own guard); the shared panel holds
+        // the same values each member would build privately, so bits
+        // match.
+        match self.plan.conv_group[i] {
+            Some(gid) if t_out < crate::gemm::NR => {
+                if !self.dw_panels.iter().any(|(g2, _)| *g2 == gid) {
+                    let k = self.shapes[weight][2];
+                    let cols = conv1d_dw_cols(x, k, dilation, pad_left, t_out);
+                    self.dw_panels.push((gid, cols));
+                }
+                let cols = &self.dw_panels.iter().find(|(g2, _)| *g2 == gid).unwrap().1;
+                conv1d_backward_dw_with_cols(g, x.shape(), &self.shapes[weight], cols)
+            }
+            _ => conv1d_backward_dw(g, x, &self.shapes[weight], dilation, pad_left),
+        }
     }
 }
 
@@ -2007,8 +1508,6 @@ impl<G> PlanExecutor<G> {
     }
 }
 
-/// Executes a fused unary elementwise run over `src`, producing a tensor
-/// of `out_shape`.
 /// True when a parallel region can actually run on more than one worker;
 /// on an oversubscribed host (requested threads > physical cores) the
 /// dispatch overhead has no upside, and serial execution is bitwise
@@ -2018,9 +1517,11 @@ fn parallelism_available() -> bool {
     crate::parallel::num_threads() > 1 && crate::parallel::host_parallelism() > 1
 }
 
+/// Executes a fused unary elementwise run over `src`, producing a tensor
+/// of `out_shape`.
 fn exec_run(
     src: &Tensor,
-    stages: &[Stage],
+    stages: &[Unary],
     par: bool,
     out_shape: &[usize],
 ) -> Tensor {

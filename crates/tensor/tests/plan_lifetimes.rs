@@ -62,13 +62,14 @@ fn build_random<'t, 's>(
         let (code, p1, p2) = (chunk[0], chunk[1], chunk[2]);
         let a = vars[p1 % vars.len()];
         let c = vars[p2 % vars.len()];
-        let v = match code % 10 {
+        let mut w = || sess.param(params[p2 % params.len()]);
+        let v = match code % 14 {
             0 => a.tanh().scale(0.5).add_scalar(0.1),
             1 => a.sigmoid().mul(c.relu()),
             2 => a.add(c),
             3 => a.sub(c).leaky_relu(0.1),
             4 => a.div(c.abs().add_scalar(1.0)),
-            5 => a.matmul(sess.param(params[p2 % params.len()])),
+            5 => a.matmul(w()),
             6 => a.reshape(&[b * d]).exp().scale(0.25).reshape(&[b, d]),
             7 => a.permute(&[1, 0]).permute(&[1, 0]).add_scalar(0.01),
             8 => {
@@ -80,7 +81,18 @@ fn build_random<'t, 's>(
                     a.softmax(1)
                 }
             }
-            _ => a.detach().mul(c.softmax(1)),
+            9 => a.detach().mul(c.softmax(1)),
+            // Rules that read their input (powf, ln) or their own output
+            // (sqrt) behind value-free rules (neg, abs, add_scalar); ln
+            // and sqrt see inputs >= 1. The param product makes each
+            // chain carry gradient, so its rules run in the backward.
+            10 => a.matmul(w()).abs().add_scalar(1.0).ln().powf(2.0).neg(),
+            // Broadcast mul / div against a `[1, d]` operand (both edges
+            // read the other operand), and sum_axes with and without
+            // keepdim.
+            11 => a.abs().add_scalar(1.0).sqrt().mul(c.matmul(w()).sum_axes(&[0], true).tanh()),
+            12 => a.div(c.matmul(w()).abs().add_scalar(1.0).sum_axes(&[0], true)),
+            _ => a.add(c.sum_axes(&[1], false).reshape(&[b, 1]).tanh()),
         };
         vars.push(v);
     }
